@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/ap"
@@ -42,7 +43,6 @@ type daemonConfig struct {
 	bindSpecs    map[trace.ObjID]string
 	engine       core.Engine
 	shards       int
-	stampWorkers int // >= 2 runs the chunked two-pass stamping worker
 	maxRaces     int
 	queueLen     int           // per-connection ingest queue, in events
 	idleTimeout  time.Duration // per-read deadline; 0 disables
@@ -62,8 +62,8 @@ type daemonConfig struct {
 
 	// Durable sessions (DESIGN.md §15; off when stateDir is empty).
 	stateDir   string
-	ckptEvery  int // snapshot cadence in events; 0 = DefaultCkptEvery
-	fsyncMode  int // fsyncOff | fsyncCkpt | fsyncAlways
+	ckptEvery  int               // snapshot cadence in events; 0 = DefaultCkptEvery
+	fsyncMode  int               // fsyncOff | fsyncCkpt | fsyncAlways
 	reportSeqs map[string]uint64 // per-session durable JSONL seq from a prior life
 
 	// Fleet scheduling (DESIGN.md §14). maxSessions and the quota fields
@@ -610,7 +610,8 @@ func (d *daemon) rejectBusy(conn net.Conn, sid, tenant string, cause error) {
 // event is charged to the tenant's throttle before it is enqueued: an
 // over-quota tenant stalls right here, in its own connection's read
 // loop, and TCP flow control pushes back on exactly that producer. In
-// fleet mode the enqueue also wakes the session's run-queue entry.
+// fleet mode the enqueue also wakes the session's run-queue entry. The
+// /sessions figures are published once per frame, not per event.
 func (d *daemon) readLoop(s *session, dec *wire.Decoder, th *fleet.Throttle) error {
 	lastFrames := dec.Frames()
 	for {
@@ -619,8 +620,10 @@ func (d *daemon) readLoop(s *session, dec *wire.Decoder, th *fleet.Throttle) err
 		if f := dec.Frames(); f > lastFrames {
 			s.ob.frames.Add(uint64(f - lastFrames))
 			lastFrames = f
+			s.publishLive(dec)
 		}
 		if err != nil {
+			s.publishLive(dec)
 			return err
 		}
 		s.ob.decode.End(start, 1)
@@ -654,11 +657,17 @@ func endOfStream(err error, dec *wire.Decoder) (clean, eof bool) {
 // rather than stream corruption (not worth resuming: the client would
 // replay the same bytes).
 func connLost(err error) bool {
-	if errors.Is(err, io.EOF) {
+	switch {
+	case errors.Is(err, io.EOF):
 		return true // unclean EOF at a frame boundary: peer went away
-	}
-	if errors.Is(err, wire.ErrTruncated) {
+	case errors.Is(err, wire.ErrTruncated):
 		return true // stream cut mid-frame (includes read timeouts mid-frame)
+	case errors.Is(err, syscall.ECONNRESET), errors.Is(err, syscall.EPIPE):
+		// The peer reset the connection: a client that closed right after
+		// writing answers the daemon's next ack with an RST.
+		return true
+	case errors.Is(err, net.ErrClosed):
+		return true // the socket was closed under the read loop
 	}
 	return isTimeout(err)
 }

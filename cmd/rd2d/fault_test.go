@@ -189,10 +189,16 @@ func TestDaemonResyncCorruptionVariants(t *testing.T) {
 	}
 }
 
-// severProxy forwards TCP between a client and the daemon, hard-closing the
+// severProxy forwards TCP between a client and the daemon, severing the
 // FIRST connection after exactly cut client-to-daemon bytes. Every later
 // connection is forwarded transparently, so a resumable client can sever at
 // a precise byte offset and then resume.
+//
+// The sever half-closes toward the daemon and releases the client only
+// once the daemon has closed its end, i.e. has parked (or finalized) the
+// session. Closing the client at the cut instead would let its redial
+// reach the daemon before the severed connection's hello is handled, and
+// the resume would then find no session to attach to.
 type severProxy struct {
 	ln     net.Listener
 	target string
@@ -237,13 +243,16 @@ func (p *severProxy) handle(client net.Conn) {
 	p.severed = true
 	p.mu.Unlock()
 
+	back := make(chan struct{})
 	go func() { // daemon -> client (acks, summary)
 		io.Copy(client, server)
 		client.Close()
+		close(back)
 	}()
 	if first {
 		io.CopyN(server, client, p.cut)
-		client.Close()
+		server.(*net.TCPConn).CloseWrite()
+		<-back
 		server.Close()
 		return
 	}

@@ -27,9 +27,9 @@ import (
 
 // fleetRunner adapts one session to fleet.Runnable.
 type fleetRunner struct {
-	s    *session
-	det  *core.Detector
-	skel *obs.Span
+	s     *session
+	det   *core.Detector
+	skel  *obs.Span
 	stamp *obs.Span
 
 	sinceCompact int
@@ -38,9 +38,7 @@ type fleetRunner struct {
 }
 
 // startFleet wires a new session into the shared scheduler instead of
-// starting a private worker: serial detector, run-queue entry. Fleet
-// sessions always stamp serially — quanta are small and the two-pass
-// chunked stamper's win comes from large drains the DRR grant forbids.
+// starting a private worker: serial detector, run-queue entry.
 func (s *session) startFleet(ccfg core.Config) {
 	r := &fleetRunner{
 		s:     s,

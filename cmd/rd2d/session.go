@@ -129,6 +129,13 @@ type session struct {
 	clean   atomic.Bool
 	readErr atomic.Value // string
 
+	// Live ingest figures for /sessions, copied from the decoder once per
+	// frame by publishLive: the decoder itself is confined to the
+	// goroutine reading it.
+	liveEvents   atomic.Int64
+	liveAcked    atomic.Uint64 // last acked chunk seq + 1; 0 = none yet
+	liveDegraded atomic.Bool
+
 	mu      sync.Mutex
 	state   int
 	conn    pokeable        // current connection (attached), for liveness pokes
@@ -248,19 +255,15 @@ func (s *session) work() {
 			s.collect()
 		}
 	}()
-	if s.d.cfg.stampWorkers >= 2 {
-		s.workChunked()
-	} else {
-		s.workSerial()
-	}
+	s.workSerial()
 	s.collect()
 }
 
-// workSerial is the legacy per-event worker loop: incremental serial
-// stamping, immediate dispatch. Per-event stamping time is attributed to
-// the same skeleton/stamp stage spans as the two-pass engine, split by
-// event kind: sync events walk the engine state (the skeleton work), body
-// events reduce to stamping the segment snapshot.
+// workSerial is the per-conn worker loop: incremental serial stamping,
+// immediate dispatch. Per-event stamping time is attributed to the
+// skeleton or stamp stage span by event kind: sync events walk the engine
+// state (the skeleton work), body events reduce to stamping the segment
+// snapshot.
 func (s *session) workSerial() {
 	s.applyRestore()
 	skel := s.scope.Span(obs.StageSkeleton)
@@ -291,91 +294,6 @@ func (s *session) workSerial() {
 			continue
 		}
 		s.dispatch(&e, &sinceCompact)
-	}
-}
-
-// workChunked is the two-pass variant of the worker (-stampworkers >= 2):
-// it drains the queue in chunks — one blocking receive, then whatever else
-// is already buffered — stamps each chunk with the parallel two-pass
-// engine, and runs the per-event dispatch loop (lazy registration, fault
-// injection, pipeline feed, compaction) over the stamped chunk. Verdicts
-// and error positions match the serial worker exactly; an idle trickle
-// degrades to chunks of one event, the same work the serial loop does.
-func (s *session) workChunked() {
-	ps := hb.NewParallelStamperObs(s.d.cfg.stampWorkers, s.scope)
-	s.en = ps.Engine() // compaction thresholds (MeetLive) come from here
-	s.applyRestore()
-	max := s.d.cfg.queueLen
-	if max < 1 {
-		max = 1
-	}
-	chunk := make([]trace.Event, 0, max)
-	sinceCompact := 0
-	for {
-		e, ok := <-s.queue
-		if !ok {
-			return
-		}
-		// The blocking receive is a frame-boundary opportunity: the
-		// received event is not processed yet, so the worker still sits at
-		// the boundary the decoder last published.
-		s.maybeCheckpoint()
-		// When a checkpoint will be due at the next published boundary, cap
-		// the chunk there: the engine must not stamp past a boundary the
-		// worker intends to snapshot at.
-		limit := max
-		if ds := s.dur; ds != nil {
-			if nb, ok := ds.ckptDueAt(s.events); ok {
-				if room := nb - s.events; room < limit {
-					limit = room
-				}
-			}
-		}
-		chunk = append(chunk[:0], e)
-	drain:
-		for len(chunk) < limit {
-			select {
-			case e, ok := <-s.queue:
-				if !ok {
-					s.runChunk(ps, chunk, &sinceCompact)
-					return
-				}
-				chunk = append(chunk, e)
-			default:
-				break drain
-			}
-		}
-		s.runChunk(ps, chunk, &sinceCompact)
-		s.maybeCheckpoint()
-	}
-}
-
-// runChunk stamps one drained chunk and dispatches its events in order.
-// On a stamping error the valid prefix is still dispatched (the serial
-// loop's stop-at-first-error behavior) and the remainder only counted.
-func (s *session) runChunk(ps *hb.ParallelStamper, chunk []trace.Event, sinceCompact *int) {
-	if s.procErr != nil {
-		s.events += len(chunk)
-		*sinceCompact += len(chunk)
-		return
-	}
-	n, serr := ps.StampChunk(chunk)
-	for i := 0; i < n; i++ {
-		e := &chunk[i]
-		s.events++
-		*sinceCompact++
-		s.lastEv = e.String()
-		if k := s.d.cfg.injectWorkerPanic; k > 0 && s.events == k {
-			panic(fmt.Sprintf("faultinject: injected worker panic at event %d", k))
-		}
-		s.dispatch(e, sinceCompact)
-	}
-	if serr != nil {
-		bad := &chunk[n]
-		s.lastEv = bad.String()
-		s.events += len(chunk) - n
-		*sinceCompact += len(chunk) - n
-		s.procErr = fmt.Errorf("event %d (%s): %w", bad.Seq, bad.String(), serr)
 	}
 }
 
@@ -422,6 +340,16 @@ func (s *session) collect() {
 	}
 }
 
+// publishLive copies dec's live figures for /sessions. Only the goroutine
+// that owns dec calls it.
+func (s *session) publishLive(dec *wire.Decoder) {
+	s.liveEvents.Store(int64(dec.Events()))
+	if n, ok := dec.AckedChunk(); ok {
+		s.liveAcked.Store(n + 1)
+	}
+	s.liveDegraded.Store(dec.Degraded())
+}
+
 // setConn records the attached connection (for liveness pokes) under mu.
 func (s *session) setConn(c pokeable) {
 	s.mu.Lock()
@@ -460,7 +388,7 @@ func (s *session) park() bool {
 	s.mu.Unlock()
 	s.d.mu.Unlock()
 	obsParks.Inc()
-	s.logf("parked (%d events so far, resume ttl %v)", s.d.snapshotEvents(s), ttl)
+	s.logf("parked (%d events so far, resume ttl %v)", s.liveEvents.Load(), ttl)
 	return true
 }
 
@@ -476,17 +404,6 @@ func (s *session) expire() {
 	sum := s.finalize()
 	s.logf("resume ttl expired: %d events, %d races, clean=%v degraded=%v",
 		sum.Events, sum.Races, sum.Clean, sum.Degraded)
-}
-
-// snapshotEvents reads the decoder's event count for logging (the worker's
-// count is not synchronized until done).
-func (d *daemon) snapshotEvents(s *session) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dec != nil {
-		return s.dec.Events()
-	}
-	return 0
 }
 
 // finalize ends the session exactly once: close the queue, wait for the

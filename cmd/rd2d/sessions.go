@@ -81,14 +81,12 @@ func (s *session) info() sessionInfo {
 		in.State = "attached"
 	}
 	in.Resumes = s.resumes
-	if s.dec != nil {
-		in.Events = s.dec.Events()
-		in.Degraded = s.dec.Degraded()
-		if n, ok := s.dec.AckedChunk(); ok {
-			in.AckedSeq = n
-		}
-	}
 	s.mu.Unlock()
+	in.Events = int(s.liveEvents.Load())
+	in.Degraded = s.liveDegraded.Load()
+	if n := s.liveAcked.Load(); n > 0 {
+		in.AckedSeq = n - 1
+	}
 	// Once final closes the summary is immutable and has the exact figures
 	// (including worker panics the decoder cannot see). A session that is
 	// still mid-finalize keeps its live approximation — never block a

@@ -314,5 +314,18 @@ func StampAll(tr *trace.Trace) error {
 	return nil
 }
 
+// IsBodyEvent reports whether k is a body event: one whose processing does
+// not change engine state and reduces to stamping the acting thread's
+// current segment snapshot. Serial stamping loops use it to attribute
+// per-event time to the skeleton (sync) or stamp (body) stage span.
+func IsBodyEvent(k trace.EventKind) bool {
+	switch k {
+	case trace.ActionEvent, trace.ReadEvent, trace.WriteEvent,
+		trace.BeginEvent, trace.DieEvent:
+		return true
+	}
+	return false
+}
+
 // Threads returns the number of threads seen so far.
 func (en *Engine) Threads() int { return en.seen }
