@@ -144,6 +144,10 @@ if [ "$ONLY" = 0 ]; then
             -benchmem -benchtime 20x ./internal/core
     } | go run ./cmd/benchgate -baseline BENCH_baseline.json -allocs-only
 
+    echo "== bench smoke (race report path: zero allocs/op after warm-up) =="
+    go test -run '^$' -bench 'BenchmarkReportWrite' -benchmem -benchtime 1000x ./internal/core \
+        | go run ./cmd/benchgate -baseline BENCH_baseline.json -allocs-only -allocs-slack 0
+
     echo "== bench ratio gate (sharded pipeline vs shards=1, interleaved rounds) =="
     # The two variants alternate binary-run by binary-run so host-speed
     # drift hits both sides equally; benchgate takes the median ns/op per

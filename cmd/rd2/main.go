@@ -43,6 +43,7 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -201,6 +202,7 @@ func run(args []string) int {
 	// callback (which runs on shard goroutines under -shards) only reads it.
 	kinds := map[trace.ObjID]string{}
 	var reporter *core.ReportWriter
+	var reportBuf *bufio.Writer
 	if *reportPath != "" {
 		rf, err := os.Create(*reportPath)
 		if err != nil {
@@ -208,7 +210,8 @@ func run(args []string) int {
 			return 2
 		}
 		defer rf.Close()
-		reporter = core.NewReportWriter(rf)
+		reportBuf = bufio.NewWriter(rf)
+		reporter = core.NewReportWriter(reportBuf)
 		ccfg.OnRace = func(r core.Race) {
 			reporter.Write(r, kinds[r.Obj])
 		}
@@ -294,7 +297,11 @@ func run(args []string) int {
 	fmt.Printf("rd2: %d events, %d actions, %d checks, %d commutativity races on %d objects\n",
 		tr.Len(), st.Actions, st.Checks, st.Races, det.DistinctObjects())
 	if reporter != nil {
-		if err := reporter.Err(); err != nil {
+		err := reportBuf.Flush()
+		if err == nil {
+			err = reporter.Err()
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "rd2: report: %v\n", err)
 			return 2
 		}

@@ -67,6 +67,19 @@ func TestReportFlagCleanTrace(t *testing.T) {
 	}
 }
 
+// TestReportFlagWriteError: a report that cannot be written (here a full
+// device, surfacing when the buffered records are flushed) fails the run
+// with exit 2 instead of dropping records silently.
+func TestReportFlagWriteError(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full")
+	}
+	tracePath := writeFile(t, "racy.trace", racyTrace)
+	if code := run([]string{"-trace", tracePath, "-q", "-report", "/dev/full"}); code != 2 {
+		t.Fatalf("exit = %d, want 2", code)
+	}
+}
+
 // TestHTTPFlagServesMetrics: -http (without -serve) exposes a /metrics
 // snapshot that passes schema validation and carries core counters from the
 // analysis. The server races with run() returning, so the scrape happens

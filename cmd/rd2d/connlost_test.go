@@ -11,12 +11,16 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"os"
+	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -51,14 +55,15 @@ func TestConnLost(t *testing.T) {
 // the daemon has acked all of it, then aborts the connection with an RST
 // (SO_LINGER 0). The daemon's blocked read returns ECONNRESET, which must
 // park the session like any other lost connection, and a fresh connection
-// must resume it to the full verdict.
+// must resume it to the full verdict. The reset lands either at a frame
+// boundary or just after the next frame's kind byte, while the decoder
+// waits for the frame-length varint.
 func TestDaemonParksOnPeerReset(t *testing.T) {
 	tr, wantRaces := racyTrace(t)
-	const sid = "rst"
 	var buf bytes.Buffer
 	enc := wire.NewEncoder(&buf)
 	enc.FrameSize = 96
-	if err := enc.SetSession(sid); err != nil {
+	if err := enc.SetSession("rst"); err != nil {
 		t.Fatal(err)
 	}
 	var ends []int // stream offset after each chunk
@@ -80,64 +85,151 @@ func TestDaemonParksOnPeerReset(t *testing.T) {
 		t.Fatalf("trace encodes to %d chunks, need >= 3", len(ends))
 	}
 
-	d, done := testDaemonCfg(t, nil, func(c *daemonConfig) { c.idleTimeout = time.Minute })
-	conn, err := net.Dial("tcp", d.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(buf.Bytes()[:ends[1]]); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	sc := bufio.NewScanner(conn)
-	for acked := false; !acked; {
-		if !sc.Scan() {
-			t.Fatalf("no ack for chunk %d: %v", seqs[1], sc.Err())
-		}
-		var ack struct{ Ack *uint64 }
-		if err := json.Unmarshal(sc.Bytes(), &ack); err != nil || ack.Ack == nil {
-			t.Fatalf("unexpected line before ack: %s", sc.Bytes())
-		}
-		acked = *ack.Ack == seqs[1]
-	}
-	conn.(*net.TCPConn).SetLinger(0)
-	conn.Close()
+	for _, tc := range []struct {
+		name  string
+		extra int // bytes of the next frame sent before the reset
+	}{
+		{"frame boundary", 0},
+		{"frame length varint", 3}, // sync marker and kind byte
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const sid = "rst"
+			d, done := testDaemonCfg(t, nil, func(c *daemonConfig) { c.idleTimeout = time.Minute })
+			conn, err := net.Dial("tcp", d.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := conn.Write(buf.Bytes()[:ends[1]+tc.extra]); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			sc := bufio.NewScanner(conn)
+			for acked := false; !acked; {
+				if !sc.Scan() {
+					t.Fatalf("no ack for chunk %d: %v", seqs[1], sc.Err())
+				}
+				var ack struct{ Ack *uint64 }
+				if err := json.Unmarshal(sc.Bytes(), &ack); err != nil || ack.Ack == nil {
+					t.Fatalf("unexpected line before ack: %s", sc.Bytes())
+				}
+				acked = *ack.Ack == seqs[1]
+			}
+			conn.(*net.TCPConn).SetLinger(0)
+			conn.Close()
 
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		d.mu.Lock()
-		s := d.sessions[sid]
-		d.mu.Unlock()
-		s.mu.Lock()
-		state := s.state
-		s.mu.Unlock()
-		if state == stateParked {
-			break
+			deadline := time.Now().Add(10 * time.Second)
+			for {
+				d.mu.Lock()
+				s := d.sessions[sid]
+				d.mu.Unlock()
+				s.mu.Lock()
+				state := s.state
+				s.mu.Unlock()
+				if state == stateParked {
+					break
+				}
+				if state == stateCompleted {
+					t.Fatalf("peer reset finalized the session instead of parking it: %+v", s.waitSummary())
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("session never parked")
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+
+			rc, err := wire.DialSession(d.Addr(), sid, 2*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rc.SetFrameSize(96)
+			if err := rc.SendSource(tr.Source()); err != nil {
+				t.Fatal(err)
+			}
+			sum, err := rc.Close(15 * time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum.Error != "" || !sum.Clean || sum.Events != tr.Len() || sum.Races != wantRaces || sum.Resumes != 1 {
+				t.Fatalf("summary %+v, want clean, %d events, %d races, 1 resume", sum, tr.Len(), wantRaces)
+			}
+			d.Shutdown()
+			if err := <-done; err != nil {
+				t.Fatalf("Serve: %v", err)
+			}
+		})
+	}
+}
+
+// writeFailConn serves a complete stream and fails every write, like a
+// client that vanished before its verdict. Only the methods the daemon's
+// connection path calls are implemented.
+type writeFailConn struct {
+	net.Conn
+	r io.Reader
+}
+
+func (c *writeFailConn) Read(p []byte) (int, error)       { return c.r.Read(p) }
+func (c *writeFailConn) Write([]byte) (int, error)        { return 0, syscall.EPIPE }
+func (c *writeFailConn) Close() error                     { return nil }
+func (c *writeFailConn) SetReadDeadline(time.Time) error  { return nil }
+func (c *writeFailConn) SetWriteDeadline(time.Time) error { return nil }
+func (c *writeFailConn) RemoteAddr() net.Addr             { return &net.TCPAddr{} }
+
+// lockedWriter serializes log output written from daemon goroutines.
+type lockedWriter struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (w *lockedWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.buf.Write(p)
+}
+
+func (w *lockedWriter) String() string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.buf.String()
+}
+
+// TestSummaryWriteErrors: a summary or busy-reject line that cannot be
+// written is logged (on the session, when there is one) and counted in
+// rd2d.summary_write_errors instead of vanishing.
+func TestSummaryWriteErrors(t *testing.T) {
+	obs.SetEnabled(true)
+	tr, _ := racyTrace(t)
+	var stream bytes.Buffer
+	enc := wire.NewEncoder(&stream)
+	for i := range tr.Events {
+		if err := enc.WriteEvent(&tr.Events[i]); err != nil {
+			t.Fatal(err)
 		}
-		if state == stateCompleted {
-			t.Fatalf("peer reset finalized the session instead of parking it: %+v", s.waitSummary())
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("session never parked")
-		}
-		time.Sleep(5 * time.Millisecond)
+	}
+	if err := enc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var logs lockedWriter
+	reg := obs.NewRegistry()
+	d, done := testDaemonCfg(t, nil, func(c *daemonConfig) {
+		c.obsRoot = reg
+		c.logger = log.New(&logs, "", 0)
+	})
+	errs := reg.Counter("rd2d.summary_write_errors")
+
+	d.handle(&writeFailConn{r: &stream})
+	if n := errs.Load(); n != 1 {
+		t.Fatalf("after a failed summary: %d write errors counted, want 1", n)
+	}
+	if !strings.Contains(logs.String(), "session 1: summary write: broken pipe") {
+		t.Fatalf("failed summary not logged on the session:\n%s", logs.String())
 	}
 
-	rc, err := wire.DialSession(d.Addr(), sid, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
+	d.rejectBusy(&writeFailConn{r: strings.NewReader("")}, "sid", "t", errors.New("over quota"))
+	if n := errs.Load(); n != 2 {
+		t.Fatalf("after a failed busy reject: %d write errors counted, want 2", n)
 	}
-	rc.SetFrameSize(96)
-	if err := rc.SendSource(tr.Source()); err != nil {
-		t.Fatal(err)
-	}
-	sum, err := rc.Close(15 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Error != "" || !sum.Clean || sum.Events != tr.Len() || sum.Races != wantRaces || sum.Resumes != 1 {
-		t.Fatalf("summary %+v, want clean, %d events, %d races, 1 resume", sum, tr.Len(), wantRaces)
-	}
+
 	d.Shutdown()
 	if err := <-done; err != nil {
 		t.Fatalf("Serve: %v", err)

@@ -51,6 +51,7 @@ type daemonConfig struct {
 	resync       bool          // corruption resync: skip corrupt frames (degraded)
 	compactOps   int           // compact at most once per this many events; 0 disables
 	reporter     *core.ReportWriter
+	reportSink   *reportSink // group-commit file writer under reporter; nil = reporter writes directly
 	logger       *log.Logger
 	obsRoot      *obs.Registry // registry the session scopes hang under; nil = obs.Default
 
@@ -114,6 +115,10 @@ type daemon struct {
 	// draining. In-process embedders get serving straight from newDaemon;
 	// the rd2d binary interposes rehydrating while the state dir loads.
 	phase atomic.Int32
+
+	// writeErrs counts summary and busy-reject lines that failed to
+	// reach their client (rd2d.summary_write_errors).
+	writeErrs *obs.Counter
 
 	// Daemon-wide injection countdowns for the durable chaos harness.
 	walAppendN atomic.Int64
@@ -179,6 +184,7 @@ func newDaemon(addr string, cfg daemonConfig) (*daemon, error) {
 		Obs:                d.obsRoot(),
 		Logf:               cfg.logger.Printf,
 	})
+	d.writeErrs = d.obsRoot().Counter("rd2d.summary_write_errors")
 	d.phase.Store(phaseServing)
 	return d, nil
 }
@@ -340,17 +346,37 @@ func (c *countingConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// writeJSON writes one JSON line to conn under the write timeout. Errors
-// are ignored: the client may already be gone (abort, drain), and both
-// summaries and acks are re-deliverable through the resume path.
-func (d *daemon) writeJSON(conn net.Conn, v any) {
+// writeJSON writes one JSON line to conn under the write timeout.
+func (d *daemon) writeJSON(conn net.Conn, v any) error {
 	wt := d.cfg.writeTimeout
 	if wt <= 0 {
 		wt = DefaultWriteTimeout
 	}
-	conn.SetWriteDeadline(time.Now().Add(wt))
-	if b, err := json.Marshal(v); err == nil {
-		conn.Write(append(b, '\n'))
+	b, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	if err := conn.SetWriteDeadline(time.Now().Add(wt)); err != nil {
+		return err
+	}
+	_, err = conn.Write(append(b, '\n'))
+	return err
+}
+
+// deliver writes a summary or busy-reject line. The client may already be
+// gone (abort, drain); a resumable client gets the summary again on
+// reconnect. A failed write is still logged — on the session when there
+// is one — and counted, since that client never saw its verdict.
+func (d *daemon) deliver(conn net.Conn, s *session, v any) {
+	err := d.writeJSON(conn, v)
+	if err == nil {
+		return
+	}
+	d.writeErrs.Inc()
+	if s != nil {
+		s.logf("summary write: %v", err)
+	} else {
+		d.cfg.logger.Printf("conn %s: summary write: %v", conn.RemoteAddr(), err)
 	}
 }
 
@@ -376,7 +402,7 @@ func (d *daemon) handle(conn net.Conn) {
 		d.cfg.logger.Printf("conn %s: handshake failed: %v", conn.RemoteAddr(), err)
 		d.failed.Add(1)
 		obsSessions.Inc()
-		d.writeJSON(conn, wire.Summary{Error: err.Error()})
+		d.deliver(conn, nil, wire.Summary{Error: err.Error()})
 		return
 	}
 	dec.SetResync(d.cfg.resync)
@@ -385,7 +411,7 @@ func (d *daemon) handle(conn net.Conn) {
 		d.cfg.logger.Printf("conn %s: hello failed: %v", conn.RemoteAddr(), err)
 		d.failed.Add(1)
 		obsSessions.Inc()
-		d.writeJSON(conn, wire.Summary{Error: err.Error()})
+		d.deliver(conn, nil, wire.Summary{Error: err.Error()})
 		return
 	}
 
@@ -414,7 +440,7 @@ func (d *daemon) handle(conn net.Conn) {
 		err := d.readLoop(s, dec, th)
 		d.classifyEnd(s, err)
 		sum := s.finalize()
-		d.writeJSON(conn, sum)
+		d.deliver(conn, s, sum)
 		s.logf("done: %d events, %d races, clean=%v degraded=%v err=%q",
 			sum.Events, sum.Races, sum.Clean, sum.Degraded, sum.Error)
 		return
@@ -428,14 +454,14 @@ func (d *daemon) handle(conn net.Conn) {
 			return
 		}
 		d.cfg.logger.Printf("conn %s: %v", conn.RemoteAddr(), err)
-		d.writeJSON(conn, wire.Summary{SessionID: sid, Error: err.Error()})
+		d.deliver(conn, nil, wire.Summary{SessionID: sid, Error: err.Error()})
 		return
 	}
 	if s.isCompleted() {
 		// Late reconnect to a finished session: re-deliver its summary.
 		sum := s.waitSummary()
 		s.logf("summary re-delivered to %s", conn.RemoteAddr())
-		d.writeJSON(conn, sum)
+		d.deliver(conn, s, sum)
 		return
 	}
 	if resumed {
@@ -447,7 +473,9 @@ func (d *daemon) handle(conn net.Conn) {
 	// Ack accepted chunks on the return path so the client can trim its
 	// resend buffer. Written from this (the only) writer goroutine.
 	dec.OnChunk = func(acked uint64) {
-		d.writeJSON(conn, map[string]uint64{"ack": acked})
+		// A lost ack is harmless: the client resends the chunk, which
+		// the decoder deduplicates, and a later ack covers it.
+		_ = d.writeJSON(conn, map[string]uint64{"ack": acked})
 	}
 
 	th := d.sched.Throttle(tenant)
@@ -458,7 +486,7 @@ func (d *daemon) handle(conn net.Conn) {
 	if clean, _ := endOfStream(err, dec); clean {
 		s.clean.Store(true)
 		sum := s.finalize()
-		d.writeJSON(conn, sum)
+		d.deliver(conn, s, sum)
 		s.logf("done: %d events, %d races, clean=%v degraded=%v resumes=%d err=%q",
 			sum.Events, sum.Races, sum.Clean, sum.Degraded, sum.Resumes, sum.Error)
 		return
@@ -472,7 +500,7 @@ func (d *daemon) handle(conn net.Conn) {
 	}
 	d.classifyEnd(s, err)
 	sum := s.finalize()
-	d.writeJSON(conn, sum)
+	d.deliver(conn, s, sum)
 	s.logf("done: %d events, %d races, clean=%v degraded=%v resumes=%d err=%q",
 		sum.Events, sum.Races, sum.Clean, sum.Degraded, sum.Resumes, sum.Error)
 }
@@ -594,7 +622,7 @@ func (d *daemon) rejectBusy(conn net.Conn, sid, tenant string, cause error) {
 	d.failed.Add(1)
 	obsSessions.Inc()
 	d.cfg.logger.Printf("conn %s: busy reject (tenant %q): %v", conn.RemoteAddr(), tenant, cause)
-	d.writeJSON(conn, wire.Summary{SessionID: sid, Busy: true, Error: cause.Error()})
+	d.deliver(conn, nil, wire.Summary{SessionID: sid, Busy: true, Error: cause.Error()})
 	if cw, ok := conn.(interface{ CloseWrite() error }); ok {
 		cw.CloseWrite()
 	}

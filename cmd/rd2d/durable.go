@@ -342,11 +342,15 @@ func (s *session) checkpoint(b boundary) error {
 	en := s.en.ExportState()
 	// Reporter seq after the export barrier: every race from events <= b.cum
 	// has been written (pipeline OnRace runs on shard goroutines; the
-	// barrier is the quiesce point). The JSONL file is written unbuffered,
-	// so its on-disk high-water mark is always >= any snapshot's seq.
+	// barrier is the quiesce point). Flushing the report before the
+	// snapshot exists keeps the file's high-water seq >= every snapshot's
+	// ReporterSeq: a restart regenerates only records past the snapshot.
 	var rseq uint64
 	if s.sr != nil {
 		rseq = s.sr.Seq()
+		if err := s.d.cfg.reportSink.Flush(); err != nil {
+			return fmt.Errorf("report flush: %w", err)
+		}
 	}
 	meta := snapMeta{
 		SID:         s.sid,
@@ -1030,7 +1034,8 @@ func (d *daemon) replayWAL(s *session, ds *durSession, walPath string, restore *
 
 // scanReport reads an existing JSONL report and returns each session's
 // durable high-water seq, truncating a torn last line (the report is
-// written unbuffered under a lock, so only the final line can be partial).
+// written in whole-line batches in seq order, so only the final line can
+// be partial).
 // Degraded-note records carry a "note" field and do not advance seqs.
 func scanReport(path string) (map[string]uint64, error) {
 	data, err := os.ReadFile(path)

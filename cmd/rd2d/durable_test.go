@@ -171,12 +171,16 @@ func durableRestartDiff(t *testing.T, mode string, corrupt func(t *testing.T, sd
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Both lives write the report through the production group-commit
+	// sink, whose checkpoint flush carries the report-continuity invariant.
+	sink1 := newReportSink(rep1, 0)
 	d1, _ := testDaemonCfg(t, nil, func(c *daemonConfig) {
 		modeCfg(c)
 		c.stateDir = stateDir
 		c.ckptEvery = 4
 		c.resumeTTL = time.Hour
-		c.reporter = core.NewReportWriter(rep1)
+		c.reportSink = sink1
+		c.reporter = core.NewReportWriter(sink1)
 	})
 	severInto(t, d1.Addr(), data[:cut])
 	waitParked(t, d1, sid)
@@ -184,6 +188,7 @@ func durableRestartDiff(t *testing.T, mode string, corrupt func(t *testing.T, sd
 	waitFile(t, filepath.Join(sdir, "wal"))
 	waitFile(t, filepath.Join(sdir, "snap.ckpt"))
 	rep1.Close()
+	sink1.Close() // anything still pending fails on the closed file, as in a crash
 	// Crash: abandon d1. Its parked session, open WAL fd, and TTL timer
 	// leak; the state dir holds whatever was durable at this instant.
 
@@ -201,12 +206,15 @@ func durableRestartDiff(t *testing.T, mode string, corrupt func(t *testing.T, sd
 		t.Fatal(err)
 	}
 	defer rep2.Close()
+	sink2 := newReportSink(rep2, 0)
+	defer sink2.Close()
 	d2, done2 := testDaemonCfg(t, nil, func(c *daemonConfig) {
 		modeCfg(c)
 		c.stateDir = stateDir
 		c.ckptEvery = 4
 		c.resumeTTL = time.Hour
-		c.reporter = core.NewReportWriter(rep2)
+		c.reportSink = sink2
+		c.reporter = core.NewReportWriter(sink2)
 		c.reportSeqs = seqs
 	})
 	d2.rehydrate()
@@ -234,6 +242,9 @@ func durableRestartDiff(t *testing.T, mode string, corrupt func(t *testing.T, sd
 	d2.Shutdown()
 	if err := <-done2; err != nil {
 		t.Fatalf("Serve: %v", err)
+	}
+	if err := sink2.Flush(); err != nil {
+		t.Fatalf("report: %v", err)
 	}
 
 	if sum.Error != "" || !sum.Clean || sum.Degraded {
@@ -581,5 +592,91 @@ func TestHealthzPhases(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("Serve: %v", err)
+	}
+}
+
+// TestDurableCheckpointFlushesReport pins the report-continuity invariant
+// under group commit: a snapshot never claims report records the file
+// lacks. The report pipe starts full, so the session's records cannot
+// reach it; any snapshot written meanwhile must say no record is durable
+// (ReporterSeq 0). Once the pipe drains, the session completes with every
+// record in the report.
+func TestDurableCheckpointFlushesReport(t *testing.T) {
+	tr, _ := racyTrace(t)
+	const sid = "ckpt-flush"
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	fillPipe(t, w)
+	sink := newReportSink(w, 0)
+	defer sink.Close()
+	defer r.Close() // first, so a failed test never leaves the flusher stuck on the full pipe
+	stateDir := t.TempDir()
+	d, done := testDaemonCfg(t, nil, func(c *daemonConfig) {
+		c.obsRoot = obs.NewRegistry()
+		c.stateDir = stateDir
+		c.ckptEvery = 4
+		c.resumeTTL = time.Hour
+		c.reportSink = sink
+		c.reporter = core.NewReportWriter(sink)
+	})
+
+	type result struct {
+		sum wire.Summary
+		err error
+	}
+	summary := make(chan result, 1)
+	go func() {
+		rc, err := wire.DialSession(d.Addr(), sid, 2*time.Second)
+		var sum wire.Summary
+		if err == nil {
+			rc.SetFrameSize(64)
+			if err = rc.SendSource(tr.Source()); err == nil {
+				sum, err = rc.Close(20 * time.Second)
+			}
+		}
+		summary <- result{sum, err}
+	}()
+
+	snap := filepath.Join(stateDir, sid, "snap.ckpt")
+	for end := time.Now().Add(300 * time.Millisecond); time.Now().Before(end); time.Sleep(5 * time.Millisecond) {
+		if _, err := os.Stat(snap); err != nil {
+			continue
+		}
+		meta, _, _, err := loadSnapshot(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if meta.ReporterSeq != 0 {
+			t.Fatalf("snapshot at event %d claims %d report records, none of which reached the report",
+				meta.Events, meta.ReporterSeq)
+		}
+	}
+
+	var report bytes.Buffer
+	copied := make(chan error, 1)
+	go func() {
+		_, err := io.Copy(&report, r)
+		copied <- err
+	}()
+	res := <-summary
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	d.Shutdown()
+	if err := <-done; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	if err := <-copied; err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(report.Bytes(), []byte(`{"session":"`+sid+`",`)); res.sum.Seq == 0 || uint64(n) != res.sum.Seq {
+		t.Fatalf("report holds %d records, summary says %d", n, res.sum.Seq)
 	}
 }

@@ -192,7 +192,9 @@ func run(args []string) int {
 			return 2
 		}
 		defer reportFile.Close()
-		cfg.reporter = core.NewReportWriter(&deadlineWriter{f: reportFile, d: *writeTimeout})
+		cfg.reportSink = newReportSink(reportFile, *writeTimeout)
+		defer cfg.reportSink.Close()
+		cfg.reporter = core.NewReportWriter(cfg.reportSink)
 	}
 
 	d, err := newDaemon(*listen, cfg)
@@ -241,7 +243,11 @@ func run(args []string) int {
 	}
 	// All sessions drained: the report is complete.
 	if cfg.reporter != nil {
-		if err := cfg.reporter.Err(); err != nil {
+		err := cfg.reportSink.Flush()
+		if err == nil {
+			err = cfg.reporter.Err()
+		}
+		if err != nil {
 			logger.Printf("report: %v", err)
 			return 2
 		}
@@ -355,23 +361,6 @@ func parseInject(spec string, cfg *daemonConfig) error {
 		}
 	}
 	return nil
-}
-
-// deadlineWriter applies the daemon write timeout to the JSONL report
-// writer. Regular files do not support write deadlines (SetWriteDeadline
-// returns ErrNoDeadline) and are written as-is; pipes and sockets — where
-// a stuck reader could otherwise wedge every session's race reporting —
-// honor the deadline.
-type deadlineWriter struct {
-	f *os.File
-	d time.Duration
-}
-
-func (w *deadlineWriter) Write(p []byte) (int, error) {
-	if w.d > 0 {
-		w.f.SetWriteDeadline(time.Now().Add(w.d)) // best-effort; see above
-	}
-	return w.f.Write(p)
 }
 
 // loadRep resolves a built-in spec name or parses a spec file and

@@ -428,6 +428,10 @@ func (s *session) finalize() wire.Summary {
 			s.entry.Wake()
 		}
 		<-s.done
+		// Report barrier: the session's records reach the file before its
+		// summary can reach the client. A failed report stays sticky on the
+		// sink and fails the daemon at exit; the summary still goes out.
+		_ = s.d.cfg.reportSink.Flush()
 		if s.entry != nil {
 			s.entry.Close()
 		}
@@ -494,6 +498,7 @@ func (s *session) finalize() wire.Summary {
 					"skipped_bytes":  sum.SkippedBytes,
 					"shard_panics":   sum.ShardPanics,
 				})
+				_ = s.d.cfg.reportSink.Flush() // as above: the note lands before the summary
 			}
 		}
 		s.releaseGauge()

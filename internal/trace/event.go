@@ -2,7 +2,7 @@ package trace
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/vclock"
 )
@@ -24,14 +24,18 @@ type Action struct {
 }
 
 // String renders the action as o3.put("a", 1)/nil.
-func (a Action) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "o%d.%s(%s)", int(a.Obj), a.Method, Values(a.Args))
+func (a Action) String() string { return string(a.AppendTo(nil)) }
+
+// AppendTo appends the String form of the action to dst and returns the
+// extended slice.
+func (a Action) AppendTo(dst []byte) []byte {
+	dst = strconv.AppendInt(append(dst, 'o'), int64(a.Obj), 10)
+	dst = append(append(dst, '.'), a.Method...)
+	dst = append(AppendValues(append(dst, '('), a.Args), ')')
 	if len(a.Rets) > 0 {
-		b.WriteByte('/')
-		b.WriteString(Values(a.Rets))
+		dst = AppendValues(append(dst, '/'), a.Rets)
 	}
-	return b.String()
+	return dst
 }
 
 // Operands returns the concatenation ū·v̄ numbered w_1..w_n as in the

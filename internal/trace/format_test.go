@@ -20,6 +20,9 @@ func TestActionString(t *testing.T) {
 	if got, want := c.String(), "o1.clear()"; got != want {
 		t.Fatalf("got %q want %q", got, want)
 	}
+	if got, want := string(a.AppendTo([]byte("t1 act "))), `t1 act o3.put("a.com", 1)/nil`; got != want {
+		t.Fatalf("AppendTo: got %q want %q", got, want)
+	}
 }
 
 func TestActionOperands(t *testing.T) {

@@ -122,21 +122,23 @@ func (v Value) Less(w Value) bool {
 
 // String renders the value in the trace syntax: nil, integers, true/false,
 // or a double-quoted string.
-func (v Value) String() string {
+func (v Value) String() string { return string(v.AppendTo(nil)) }
+
+// AppendTo appends the String form of the value to dst and returns the
+// extended slice. It never formats through fmt, so report encoders can
+// render values into a reused buffer without allocating.
+func (v Value) AppendTo(dst []byte) []byte {
 	switch v.kind {
 	case Nil:
-		return "nil"
+		return append(dst, "nil"...)
 	case Int:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.AppendInt(dst, v.i, 10)
 	case Bool:
-		if v.i != 0 {
-			return "true"
-		}
-		return "false"
+		return strconv.AppendBool(dst, v.i != 0)
 	case Str:
-		return strconv.Quote(v.s)
+		return strconv.AppendQuote(dst, v.s)
 	default:
-		return fmt.Sprintf("?kind%d", v.kind)
+		return strconv.AppendUint(append(dst, "?kind"...), uint64(v.kind), 10)
 	}
 }
 
@@ -166,10 +168,15 @@ func ParseValue(s string) (Value, error) {
 }
 
 // Values formats a tuple of values as "a, b, c".
-func Values(vs []Value) string {
-	parts := make([]string, len(vs))
+func Values(vs []Value) string { return string(AppendValues(nil, vs)) }
+
+// AppendValues appends the Values form of vs to dst.
+func AppendValues(dst []byte, vs []Value) []byte {
 	for i, v := range vs {
-		parts[i] = v.String()
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = v.AppendTo(dst)
 	}
-	return strings.Join(parts, ", ")
+	return dst
 }

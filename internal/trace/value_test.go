@@ -49,10 +49,14 @@ func TestValueString(t *testing.T) {
 		BoolValue(false):    "false",
 		StrValue("a.com"):   `"a.com"`,
 		StrValue(`q"uo,te`): `"q\"uo,te"`,
+		{kind: 9}:           "?kind9",
 	}
 	for v, want := range cases {
 		if got := v.String(); got != want {
 			t.Errorf("%#v.String() = %q, want %q", v, got, want)
+		}
+		if got := string(v.AppendTo([]byte("x="))); got != "x="+want {
+			t.Errorf("%#v.AppendTo = %q, want %q", v, got, "x="+want)
 		}
 	}
 }

@@ -278,12 +278,15 @@ func (d *Decoder) parseFrame() (byte, error) {
 	} else {
 		kind = first
 	}
-	size, err := binary.ReadUvarint(d.r)
+	size, err := d.readFrameLen()
 	if err != nil {
-		if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, fmt.Errorf("%w: frame length: %v", ErrTruncated, err)
+		if errors.Is(err, errCorrupt) {
+			return 0, err
 		}
-		return 0, fmt.Errorf("%w: frame length: %v", errCorrupt, err)
+		// The transport failed inside the varint (EOF, reset, timeout):
+		// keep the cause matchable so the daemon can tell a lost
+		// connection from corruption.
+		return 0, fmt.Errorf("%w: frame length: %w", ErrTruncated, err)
 	}
 	if size > MaxFrame {
 		return 0, fmt.Errorf("%w: frame of %d bytes exceeds MaxFrame", errCorrupt, size)
@@ -305,6 +308,33 @@ func (d *Decoder) parseFrame() (byte, error) {
 	}
 	d.frames++
 	return kind, nil
+}
+
+// readFrameLen reads a frame's length varint from the stream. It decodes
+// like binary.ReadUvarint but keeps the two failure classes apart: an
+// overflowing varint is errCorrupt, a reader error is returned as is
+// (io.EOF after the first byte becomes io.ErrUnexpectedEOF).
+func (d *Decoder) readFrameLen() (uint64, error) {
+	var x uint64
+	var s uint
+	for i := 0; i < binary.MaxVarintLen64; i++ {
+		b, err := d.r.ReadByte()
+		if err != nil {
+			if i > 0 && err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, err
+		}
+		if b < 0x80 {
+			if i == binary.MaxVarintLen64-1 && b > 1 {
+				break
+			}
+			return x | uint64(b)<<s, nil
+		}
+		x |= uint64(b&0x7f) << s
+		s += 7
+	}
+	return 0, fmt.Errorf("%w: frame length varint overflows 64 bits", errCorrupt)
 }
 
 // readFrame advances the stream by one frame. It returns nil when an

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"syscall"
 	"testing"
 	"time"
 
@@ -441,5 +442,50 @@ func TestResumableClientSurvivesSeveredConn(t *testing.T) {
 	}
 	if c.Resumes() < 1 {
 		t.Fatalf("resumes = %d, want >= 1", c.Resumes())
+	}
+}
+
+// resetReader serves data, then fails every read with ECONNRESET, the way
+// a socket does after the peer's RST.
+type resetReader struct{ data []byte }
+
+func (r *resetReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, syscall.ECONNRESET
+	}
+	n := copy(p, r.data)
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// TestFrameLengthTransportError cuts a stream inside a frame's length
+// varint. A peer reset there is a lost connection, not corruption: the
+// error stays ErrTruncated with ECONNRESET matchable, so the daemon parks
+// the session. Only an overflowing varint is corrupt.
+func TestFrameLengthTransportError(t *testing.T) {
+	data := encodeFrames(t, faultTrace(40), 256)
+	second := frameOffsets(t, data)[1]
+	for _, cut := range []int{second + 3, second + 4} { // after the kind byte; after one varint byte
+		prefix := append([]byte(nil), data[:cut]...)
+		if cut == second+4 {
+			prefix[cut-1] |= 0x80 // a continued varint, so the reset lands mid-varint
+		}
+		dec, err := NewDecoder(&resetReader{data: prefix})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = drain(dec)
+		if !errors.Is(err, syscall.ECONNRESET) || !errors.Is(err, ErrTruncated) || errors.Is(err, errCorrupt) {
+			t.Fatalf("cut at %d: err = %v, want ErrTruncated wrapping ECONNRESET", cut, err)
+		}
+	}
+
+	overflow := append(append([]byte(nil), data[:second+3]...), bytes.Repeat([]byte{0xff}, 10)...)
+	dec, err := NewDecoder(bytes.NewReader(overflow))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := drain(dec); !errors.Is(err, errCorrupt) {
+		t.Fatalf("overflowing frame length: err = %v, want corrupt", err)
 	}
 }
