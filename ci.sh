@@ -38,9 +38,10 @@
 #   -fleet        additionally run the fleet-scheduling smoke: the fleet test
 #                 suite (differential, admission, chaos, starvation) under
 #                 -race and again under -tags=clockcheck, then live binaries:
-#                 a fleet-vs-perconn differential streaming the whole
-#                 examples/traces corpus through both daemon modes and
-#                 requiring byte-identical JSONL verdicts, and a fairness
+#                 a daemon-vs-offline differential streaming the whole
+#                 examples/traces corpus through one daemon and requiring
+#                 JSONL verdicts byte-identical to offline rd2 -report
+#                 (same records, same order), and a fairness
 #                 smoke where a quota-compliant background tenant must keep
 #                 >= 80% of its isolated ingest rate while a hot tenant
 #                 saturates the shared worker pool.
@@ -446,7 +447,7 @@ if [ "$FLEET" = 1 ]; then
     go test -tags=clockcheck -count=1 -timeout 300s \
         -run 'TestFleetDifferentialCorpus|TestFleetMultiTenantChaos' ./cmd/rd2d
 
-    echo "== fleet: live fleet-vs-perconn differential over examples/traces =="
+    echo "== fleet: live daemon-vs-offline differential over examples/traces =="
     FLEETTMP=$(mktemp -d)
     FLEETPID=""
     HOTPIDS=""
@@ -463,45 +464,42 @@ if [ "$FLEET" = 1 ]; then
     go build -o "$FLEETTMP/rd2" ./cmd/rd2
     go build -o "$FLEETTMP/rd2d" ./cmd/rd2d
 
-    # Stream the whole corpus through both daemon modes; after stripping the
-    # daemon-assigned session id and seq, the JSONL verdicts must be
-    # byte-identical. -compact-every 0 on both sides so point-clock
-    # renderings cannot drift with compaction timing.
-    for mode in perconn fleet; do
-        if [ "$mode" = fleet ]; then
-            MODEFLAGS="-fleet -fleet-workers 2 -max-sessions 64"
-        else
-            MODEFLAGS=""
-        fi
-        # shellcheck disable=SC2086
-        "$FLEETTMP/rd2d" -listen "$FLEETADDR" -q -compact-every 0 $MODEFLAGS \
-            -report "$FLEETTMP/$mode.jsonl" 2> "$FLEETTMP/$mode.log" &
-        FLEETPID=$!
-        for tracefile in examples/traces/*; do
-            rc=0
-            timeout 60 "$FLEETTMP/rd2" -trace "$tracefile" -send "$FLEETADDR" \
-                -send-wait 10s -tenant smoke -q || rc=$?
-            [ "$rc" -le 1 ] || {
-                echo "fleet smoke ($mode): rd2 -send $tracefile rc $rc" >&2
-                cat "$FLEETTMP/$mode.log" >&2
-                exit 1
-            }
-        done
-        kill -TERM "$FLEETPID"
+    # Stream the whole corpus, one session after another, through one
+    # daemon; after stripping the daemon-assigned session id and seq, its
+    # JSONL report must equal the offline serial reports concatenated in
+    # the same order, byte for byte. -compact-every 0 keeps point-clock
+    # renderings identical to the offline run.
+    "$FLEETTMP/rd2d" -listen "$FLEETADDR" -q -compact-every 0 -fleet-workers 2 -max-sessions 64 \
+        -report "$FLEETTMP/on.jsonl" 2> "$FLEETTMP/on.log" &
+    FLEETPID=$!
+    : > "$FLEETTMP/off.jsonl"
+    for tracefile in examples/traces/*; do
         rc=0
-        wait "$FLEETPID" || rc=$?
-        FLEETPID=""
-        [ "$rc" -le 1 ] || { echo "fleet smoke ($mode): rd2d rc $rc" >&2; cat "$FLEETTMP/$mode.log" >&2; exit 1; }
-        sed 's/^{"session":"[^"]*","seq":[0-9]*,/{/' "$FLEETTMP/$mode.jsonl" \
-            | sort > "$FLEETTMP/$mode.sorted"
+        "$FLEETTMP/rd2" -trace "$tracefile" -shards 1 -q -report "$FLEETTMP/one.jsonl" || rc=$?
+        [ "$rc" -le 1 ] || { echo "fleet smoke: offline rd2 $tracefile rc $rc" >&2; exit 1; }
+        cat "$FLEETTMP/one.jsonl" >> "$FLEETTMP/off.jsonl"
+        rc=0
+        timeout 60 "$FLEETTMP/rd2" -trace "$tracefile" -send "$FLEETADDR" \
+            -send-wait 10s -tenant smoke -q || rc=$?
+        [ "$rc" -le 1 ] || {
+            echo "fleet smoke: rd2 -send $tracefile rc $rc" >&2
+            cat "$FLEETTMP/on.log" >&2
+            exit 1
+        }
     done
-    if ! diff -q "$FLEETTMP/perconn.sorted" "$FLEETTMP/fleet.sorted" > /dev/null; then
-        echo "fleet smoke: fleet-mode verdicts differ from per-conn verdicts" >&2
-        diff "$FLEETTMP/perconn.sorted" "$FLEETTMP/fleet.sorted" | head >&2
+    kill -TERM "$FLEETPID"
+    rc=0
+    wait "$FLEETPID" || rc=$?
+    FLEETPID=""
+    [ "$rc" -le 1 ] || { echo "fleet smoke: rd2d rc $rc" >&2; cat "$FLEETTMP/on.log" >&2; exit 1; }
+    sed 's/^{"session":"[^"]*","seq":[0-9]*,/{/' "$FLEETTMP/on.jsonl" > "$FLEETTMP/on.stripped"
+    if ! cmp -s "$FLEETTMP/off.jsonl" "$FLEETTMP/on.stripped"; then
+        echo "fleet smoke: daemon verdicts differ from offline rd2 -report" >&2
+        diff "$FLEETTMP/off.jsonl" "$FLEETTMP/on.stripped" | head >&2
         exit 1
     fi
-    [ -s "$FLEETTMP/fleet.sorted" ] || { echo "fleet smoke: corpus produced no race records" >&2; exit 1; }
-    echo "fleet smoke: $(wc -l < "$FLEETTMP/fleet.sorted") verdicts byte-identical across modes"
+    [ -s "$FLEETTMP/off.jsonl" ] || { echo "fleet smoke: corpus produced no race records" >&2; exit 1; }
+    echo "fleet smoke: $(wc -l < "$FLEETTMP/off.jsonl") verdicts byte-identical to offline rd2"
 
     echo "== fleet: fairness smoke (hot tenant vs quota-compliant background tenant) =="
     # The background tenant is paced by its own 5000 events/s token bucket;
@@ -510,7 +508,7 @@ if [ "$FLEET" = 1 ]; then
     # take at most 1.25x the isolated send (plus a fixed scheduling slack).
     go run ./cmd/tracegen -seed 5 -threads 4 -ops-min 400 -ops-max 400 > "$FLEETTMP/bg.trace"
     go run ./cmd/tracegen -seed 9 -threads 4 -ops-min 20000 -ops-max 20000 > "$FLEETTMP/hot.trace"
-    "$FLEETTMP/rd2d" -listen "$FLEETADDR" -q -fleet -fleet-workers 2 \
+    "$FLEETTMP/rd2d" -listen "$FLEETADDR" -q -fleet-workers 2 \
         -tenant-quota 'bg:events=5000,burst=250' 2> "$FLEETTMP/fair.log" &
     FLEETPID=$!
 

@@ -39,7 +39,7 @@
 // 6 when the daemon rejected the session at admission (busy: session table
 // full or tenant over quota) and the -retries backoff attempts ran out.
 // -tenant stamps the stream's hello with a tenant id for the daemon's
-// per-tenant quota accounting and fair scheduling (-fleet mode of rd2d).
+// per-tenant quota accounting and fair scheduling.
 package main
 
 import (

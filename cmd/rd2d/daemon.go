@@ -7,7 +7,6 @@ import (
 	"io"
 	"log"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -42,9 +41,8 @@ type daemonConfig struct {
 	binds        map[trace.ObjID]ap.Rep
 	bindSpecs    map[trace.ObjID]string
 	engine       core.Engine
-	shards       int
 	maxRaces     int
-	queueLen     int           // per-connection ingest queue, in events
+	queueLen     int           // per-session hand-off queue, in events (rounded down to whole batches)
 	idleTimeout  time.Duration // per-read deadline; 0 disables
 	writeTimeout time.Duration // summary/ack write deadline; 0 disables
 	resumeTTL    time.Duration // parked-session lifetime; 0 = DefaultResumeTTL
@@ -57,7 +55,7 @@ type daemonConfig struct {
 
 	// Fault injection (ci.sh -chaos / -durable; inert when zero).
 	injectRepPanic    int64 // panic on the N-th rep Touch per session
-	injectWorkerPanic int   // panic on the N-th event in the session worker
+	injectWorkerPanic int   // panic on the N-th event the session's runnable detects
 	injectCkptCrash   int   // SIGKILL with a half-written snapshot on the N-th checkpoint
 	injectWalCrash    int   // SIGKILL with a half-written frame on the N-th WAL append
 
@@ -67,10 +65,8 @@ type daemonConfig struct {
 	fsyncMode  int               // fsyncOff | fsyncCkpt | fsyncAlways
 	reportSeqs map[string]uint64 // per-session durable JSONL seq from a prior life
 
-	// Fleet scheduling (DESIGN.md §14). maxSessions and the quota fields
-	// are enforced even with fleet off — the scheduler always exists and
-	// gates admission; only the shared worker pool is opt-in.
-	fleet        bool                   // run sessions on the shared worker pool
+	// Fleet scheduling (DESIGN.md §14): every session runs on the shared
+	// worker pool, under admission control and per-tenant quotas.
 	fleetWorkers int                    // pool size; 0 = GOMAXPROCS
 	maxSessions  int                    // resident session cap; 0 = unbounded
 	globalRate   float64                // daemon-wide events/s budget; 0 = unlimited
@@ -83,10 +79,11 @@ type daemonConfig struct {
 const DefaultWriteTimeout = 5 * time.Second
 
 // daemon accepts wire streams over TCP and runs detection sessions:
-// incremental happens-before stamping feeding the sharded pipeline, races
-// streamed to the shared JSONL reporter as found. Plain streams are one
-// session per connection; hello-framed streams open resumable sessions
-// that survive connection loss (see session.go).
+// incremental happens-before stamping on the read loop, detection on the
+// shared worker pool, races streamed to the shared JSONL reporter as
+// found. Plain streams are one session per connection; hello-framed
+// streams open resumable sessions that survive connection loss (see
+// session.go).
 type daemon struct {
 	cfg   daemonConfig
 	ln    net.Listener
@@ -167,15 +164,8 @@ func newDaemon(addr string, cfg daemonConfig) (*daemon, error) {
 		sessions: map[string]*session{},
 		tracked:  map[string]*session{},
 	}
-	workers := 0
-	if cfg.fleet {
-		workers = cfg.fleetWorkers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-	}
 	d.sched = fleet.New(fleet.Config{
-		Workers:            workers,
+		Workers:            cfg.fleetWorkers,
 		MaxSessions:        cfg.maxSessions,
 		GlobalEventsPerSec: cfg.globalRate,
 		Quantum:            cfg.fleetQuantum,
@@ -254,7 +244,7 @@ func (d *daemon) Serve() error {
 
 // Shutdown begins a graceful drain: stop accepting, interrupt blocked
 // reads so sessions stop ingesting, finalize parked sessions, and wait for
-// every session to flush its pending shards and report. Safe to call more
+// every session to detect what it ingested and report. Safe to call more
 // than once.
 func (d *daemon) Shutdown() {
 	d.phase.Store(phaseDraining)
@@ -381,8 +371,9 @@ func (d *daemon) deliver(conn net.Conn, s *session, v any) {
 }
 
 // handle runs one connection: decode the stream header, route to a plain
-// (connection-bound) or resumable session, feed the session's queue, and
-// deliver the summary or park the session when the connection dies early.
+// (connection-bound) or resumable session, feed the session as its
+// producer, and deliver the summary or park the session when the
+// connection dies early.
 func (d *daemon) handle(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -545,7 +536,7 @@ func (d *daemon) routeSession(sid, tenant string, dec *wire.Decoder) (s *session
 		s.mu.Lock()
 		s.dec = dec
 		if s.dur != nil {
-			dec.OnFrameAccepted = s.dur.hook(dec)
+			dec.OnFrameAccepted = s.walHook(dec)
 		}
 		s.mu.Unlock()
 		return s, false, nil
@@ -576,7 +567,7 @@ func (d *daemon) routeSession(sid, tenant string, dec *wire.Decoder) (s *session
 			dec.SetObs(s.scope)
 			s.dec = dec
 			if s.dur != nil {
-				dec.OnFrameAccepted = s.dur.hook(dec)
+				dec.OnFrameAccepted = s.walHook(dec)
 			}
 			s.state = stateAttached
 			s.resumes++
@@ -628,49 +619,6 @@ func (d *daemon) rejectBusy(conn net.Conn, sid, tenant string, cause error) {
 	}
 	conn.SetReadDeadline(time.Now().Add(busyDrainTimeout))
 	io.Copy(io.Discard, conn)
-}
-
-// readLoop decodes events from one connection into the session queue until
-// the stream ends (whatever way), returning the terminal decode error. Each
-// decode is recorded in the session's stage.decode span (latency includes
-// waiting for bytes — the span's p99 is time-to-next-event as the worker
-// experiences it), and ingest counters land in the session scope. Each
-// event is charged to the tenant's throttle before it is enqueued: an
-// over-quota tenant stalls right here, in its own connection's read
-// loop, and TCP flow control pushes back on exactly that producer. In
-// fleet mode the enqueue also wakes the session's run-queue entry. The
-// /sessions figures are published once per frame, not per event.
-func (d *daemon) readLoop(s *session, dec *wire.Decoder, th *fleet.Throttle) error {
-	lastFrames := dec.Frames()
-	for {
-		start := s.ob.decode.Start()
-		e, err := dec.Next()
-		if f := dec.Frames(); f > lastFrames {
-			s.ob.frames.Add(uint64(f - lastFrames))
-			lastFrames = f
-			s.publishLive(dec)
-		}
-		if err != nil {
-			s.publishLive(dec)
-			return err
-		}
-		s.ob.decode.End(start, 1)
-		th.Wait(1)
-		if obs.Enabled() {
-			select {
-			case s.queue <- e:
-			default:
-				s.ob.stalls.Inc()
-				s.queue <- e
-			}
-			s.ob.queue.Set(int64(len(s.queue)))
-		} else {
-			s.queue <- e
-		}
-		if s.entry != nil {
-			s.entry.Wake()
-		}
-	}
 }
 
 // endOfStream reports whether err is a clean end (end-of-stream frame).

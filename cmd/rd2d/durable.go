@@ -20,16 +20,19 @@ package main
 //              loader falls back to replaying the WAL from byte zero.
 //
 // Recovery replays the WAL tail from the snapshot's frame offset through
-// the ordinary decode → queue → worker path, with the JSONL reporter's
+// the ordinary producer → runnable path, with the JSONL reporter's
 // suppression window (core.SessionReporter.Restore) making regenerated
 // race records silent up to the report file's durable high-water mark.
 // Verdicts after a crash+restart are byte-identical to the uninterrupted
 // run because replay *is* the run: same bytes, same decoder state, same
 // engine clocks, same detector state.
 //
-// Checkpoints happen only on the session worker (or fleet quantum) at
-// frame boundaries the decoder hook published, so the snapshot's three
-// states agree on a single stream position. fsync policy is -fsync
+// There is one checkpoint cut point: the frame hook on the producer. When
+// a snapshot is due it captures the decoder state and exports the engine,
+// which has then stamped exactly the events before that frame, and the cut
+// rides in-band with the next event to the runnable, which exports the
+// detector at the same position. The snapshot's three states therefore
+// agree on a single stream position. fsync policy is -fsync
 // off|ckpt|always: the page cache survives a process SIGKILL, so even
 // "off" is crash-safe against process death; "ckpt"/"always" extend the
 // guarantee to machine crashes.
@@ -92,22 +95,22 @@ const DefaultCkptEvery = 4096
 // errDurClosed marks WAL appends after the session's state was destroyed.
 var errDurClosed = errors.New("durable: session state destroyed")
 
-// boundary is a frame boundary the decoder hook published: the WAL offset
-// where the frame starts, the cumulative event count of all frames before
-// it, and the decoder's cross-frame state at that point. A snapshot taken
-// at a boundary resumes by replaying the WAL from off — re-decoding the
-// boundary's own frame first.
+// boundary is a checkpoint cut at the start of an accepted events frame:
+// the WAL offset where the frame starts, the cumulative event count of all
+// frames before it, and the decoder and engine states at that point. A
+// snapshot taken at a boundary resumes by replaying the WAL from off —
+// re-decoding the boundary's own frame first.
 type boundary struct {
 	off int64
 	cum int
 	st  wire.DecoderState
+	en  *hb.EngineState
 }
 
-// durSession is one session's persistent state: the open WAL and the FIFO
-// of frame boundaries the worker may checkpoint at. The hook side (WAL
-// append, boundary publish) runs on the connection read loop; the
-// checkpoint side (boundary take, snapshot) runs on the session worker;
-// mu covers the shared fields.
+// durSession is one session's persistent state: the open WAL and the
+// checkpoint cadence. The hook side (WAL append, cut decision) runs on the
+// producer; the snapshot side runs on the runnable; mu covers the WAL
+// fields both touch.
 type durSession struct {
 	d     *daemon
 	sid   string
@@ -115,18 +118,17 @@ type durSession struct {
 	every int // checkpoint cadence in events
 	fsync int
 
-	mu       sync.Mutex
-	wal      *os.File
-	walOff   int64
-	bounds   []boundary
-	walErr   error
-	buf      []byte // frame re-encode scratch (hook side only)
-	lastCkpt int    // events at the last snapshot (worker + rehydrator)
-	force    bool   // replayed a WAL tail: snapshot at the next boundary
+	mu     sync.Mutex
+	wal    *os.File
+	walOff int64
+	walErr error
+	buf    []byte // frame re-encode scratch (hook side only)
 
-	// Worker-side only.
-	ckptErr error // first snapshot failure; disables further snapshots
-	ckpts   int
+	// Producer-side only.
+	lastCkpt int  // events at the last cut
+	force    bool // replayed a WAL tail: cut at the next boundary
+
+	ckptErr error // runnable-side only: first snapshot failure; disables further snapshots
 }
 
 // sanitizeSID maps a client session id to a filesystem-safe directory
@@ -188,89 +190,75 @@ func (d *daemon) ckptEvery() int {
 	return DefaultCkptEvery
 }
 
-// hook returns the decoder's OnFrameAccepted callback: append the accepted
-// frame to the WAL and publish the pre-frame boundary, all before the
-// decoder dispatches the frame (and so before its chunk is acked). An
-// append failure fails the decode — with -statedir the durability contract
-// is part of accepting bytes, so an unwritable WAL refuses ingest loudly
-// instead of silently dropping coverage.
-func (ds *durSession) hook(dec *wire.Decoder) func(byte, []byte) error {
+// walHook returns the decoder's OnFrameAccepted callback: append the
+// accepted frame to the WAL, then cut a checkpoint boundary ahead of it if
+// one is due — all before the decoder dispatches the frame (and so before
+// its chunk is acked). An append failure fails the decode — with -statedir
+// the durability contract is part of accepting bytes, so an unwritable WAL
+// refuses ingest loudly instead of silently dropping coverage.
+func (s *session) walHook(dec *wire.Decoder) func(byte, []byte) error {
 	return func(kind byte, payload []byte) error {
-		ds.mu.Lock()
-		defer ds.mu.Unlock()
-		if ds.walErr != nil {
-			return ds.walErr
+		off, err := s.dur.append(kind, payload)
+		if err != nil {
+			return err
 		}
-		b := boundary{off: ds.walOff, cum: dec.Events(), st: dec.State()}
-		ds.buf = wire.AppendFrame(ds.buf[:0], kind, payload)
-		if n := ds.d.cfg.injectWalCrash; n > 0 && ds.d.walAppendN.Add(1) == int64(n) {
-			// Injected machine crash mid-append: half the frame reaches the
-			// disk, then the process dies without further ado.
-			ds.wal.Write(ds.buf[:len(ds.buf)/2])
-			ds.wal.Sync()
-			faultinject.KillSelf()
-		}
-		if _, err := ds.wal.Write(ds.buf); err != nil {
-			ds.walErr = err
-			return fmt.Errorf("durable: wal append: %w", err)
-		}
-		ds.walOff += int64(len(ds.buf))
-		if ds.fsync == fsyncAlways {
-			if err := ds.wal.Sync(); err != nil {
-				ds.walErr = err
-				return fmt.Errorf("durable: wal fsync: %w", err)
-			}
-		}
-		ds.bounds = append(ds.bounds, b)
-		obsCkptWalAppends.Inc()
+		s.cut(off, dec)
 		return nil
 	}
 }
 
-// takeBoundary resolves the worker's position against the published
-// boundaries: boundaries strictly behind events are dropped (missed
-// checkpoint opportunities — never incorrect), and when the cadence (or a
-// post-replay force) makes a snapshot due, the latest boundary exactly at
-// events is popped and returned. Duplicate-chunk frames publish zero-event
-// boundaries at the same cum; the latest wins so a resume replays the
-// least.
-func (ds *durSession) takeBoundary(events int) (boundary, bool) {
+// append writes one accepted frame to the WAL and returns the offset it
+// starts at.
+func (ds *durSession) append(kind byte, payload []byte) (int64, error) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	i := 0
-	for i < len(ds.bounds) && ds.bounds[i].cum < events {
-		i++
+	if ds.walErr != nil {
+		return 0, ds.walErr
 	}
-	ds.bounds = ds.bounds[i:]
-	if !ds.force && events-ds.lastCkpt < ds.every {
-		return boundary{}, false
+	off := ds.walOff
+	ds.buf = wire.AppendFrame(ds.buf[:0], kind, payload)
+	if n := ds.d.cfg.injectWalCrash; n > 0 && ds.d.walAppendN.Add(1) == int64(n) {
+		// Injected machine crash mid-append: half the frame reaches the
+		// disk, then the process dies without further ado.
+		ds.wal.Write(ds.buf[:len(ds.buf)/2])
+		ds.wal.Sync()
+		faultinject.KillSelf()
 	}
-	j := 0
-	for j < len(ds.bounds) && ds.bounds[j].cum == events {
-		j++
+	if _, err := ds.wal.Write(ds.buf); err != nil {
+		ds.walErr = err
+		return 0, fmt.Errorf("durable: wal append: %w", err)
 	}
-	if j == 0 {
-		return boundary{}, false
+	ds.walOff += int64(len(ds.buf))
+	if ds.fsync == fsyncAlways {
+		if err := ds.wal.Sync(); err != nil {
+			ds.walErr = err
+			return 0, fmt.Errorf("durable: wal fsync: %w", err)
+		}
 	}
-	b := ds.bounds[j-1]
-	ds.bounds = ds.bounds[j:]
-	return b, true
+	obsCkptWalAppends.Inc()
+	return off, nil
 }
 
-// ckptDone records a successful snapshot at cum events.
-func (ds *durSession) ckptDone(cum int) {
-	ds.mu.Lock()
-	ds.lastCkpt = cum
-	ds.force = false
-	ds.mu.Unlock()
-}
-
-// pushBoundary publishes a boundary directly (the WAL replay path, where
-// frames are already on disk and only the positions are rebuilt).
-func (ds *durSession) pushBoundary(b boundary) {
-	ds.mu.Lock()
-	ds.bounds = append(ds.bounds, b)
-	ds.mu.Unlock()
+// cut is the session's one checkpoint cut point, called by the producer at
+// the start of every accepted events frame (off is the frame's WAL offset).
+// The engine has then stamped exactly the events before the frame, so
+// decoder and engine agree on the boundary. When the cadence (or a
+// post-replay force) makes a snapshot due, cut exports the engine and
+// holds the boundary for the next stamped event to carry to the runnable.
+// Duplicate-chunk and empty frames cut zero-event boundaries at the same
+// position; the latest wins so a resume replays the least.
+func (s *session) cut(off int64, dec *wire.Decoder) {
+	ds := s.dur
+	cum := dec.Events()
+	if b := s.ckpt; b != nil && b.cum == cum {
+		b.off, b.st = off, dec.State()
+		return
+	}
+	if s.stampErr != nil || s.stampPanicked || (!ds.force && cum-ds.lastCkpt < ds.every) {
+		return
+	}
+	s.ckpt = &boundary{off: off, cum: cum, st: dec.State(), en: s.en.ExportState()}
+	ds.lastCkpt, ds.force = cum, false
 }
 
 // destroy closes and removes the session's on-disk state — the session
@@ -300,51 +288,32 @@ type snapMeta struct {
 	DecState    wire.DecoderState
 }
 
-// maybeCheckpoint snapshots the session at the current position when a
-// published boundary lands exactly here and the cadence (or a post-replay
-// force) says it is due. Called by the worker (serial or fleet) before
-// processing each event, so the engine has stamped exactly the events the
-// boundary covers. A degraded or failed session is never checkpointed —
-// partial state must not shadow the honest WAL.
-func (s *session) maybeCheckpoint() {
+// maybeCheckpoint snapshots the session at boundary b, which the runnable
+// reached: it has detected exactly the events the boundary covers. A
+// degraded or failed session is never checkpointed — partial state must
+// not shadow the honest WAL.
+func (s *session) maybeCheckpoint(b *boundary) {
 	ds := s.dur
-	if ds == nil || ds.ckptErr != nil || s.panicked || s.procErr != nil {
-		return
-	}
-	b, ok := ds.takeBoundary(s.events)
-	if !ok {
+	if ds.ckptErr != nil || s.panicked || s.procErr != nil || b.cum != s.events {
 		return
 	}
 	if err := s.checkpoint(b); err != nil {
 		ds.ckptErr = err
 		s.logf("checkpoint failed (continuing without snapshots, WAL still covers the session): %v", err)
-		return
 	}
-	ds.ckptDone(b.cum)
-	ds.ckpts++
 }
 
-// checkpoint writes one snapshot at boundary b: quiesce and export the
-// detection state, serialize, and atomically replace snap.ckpt.
-func (s *session) checkpoint(b boundary) error {
+// checkpoint writes one snapshot at boundary b: export the detector,
+// serialize it with the boundary's decoder and engine states, and
+// atomically replace snap.ckpt.
+func (s *session) checkpoint(b *boundary) error {
 	ds := s.dur
 	start := time.Now()
-	var det *core.DetectorState
-	var err error
-	if s.p != nil {
-		det, err = s.p.ExportState()
-		if err != nil {
-			return err
-		}
-	} else {
-		det = s.runner.det.ExportState()
-	}
-	en := s.en.ExportState()
-	// Reporter seq after the export barrier: every race from events <= b.cum
-	// has been written (pipeline OnRace runs on shard goroutines; the
-	// barrier is the quiesce point). Flushing the report before the
-	// snapshot exists keeps the file's high-water seq >= every snapshot's
-	// ReporterSeq: a restart regenerates only records past the snapshot.
+	det := s.det.ExportState()
+	// Every race from events before b.cum has been written: the runnable
+	// reports synchronously. Flushing the report before the snapshot exists
+	// keeps the file's high-water seq >= every snapshot's ReporterSeq: a
+	// restart regenerates only records past the snapshot.
 	var rseq uint64
 	if s.sr != nil {
 		rseq = s.sr.Seq()
@@ -370,7 +339,7 @@ func (s *session) checkpoint(b boundary) error {
 	sort.Slice(meta.Registered, func(i, j int) bool { return meta.Registered[i] < meta.Registered[j] })
 
 	var buf bytes.Buffer
-	if err := writeSnapshot(&buf, &meta, en, det); err != nil {
+	if err := writeSnapshot(&buf, &meta, b.en, det); err != nil {
 		return err
 	}
 	data := buf.Bytes()
@@ -743,7 +712,7 @@ func getAction(sr *wire.StateReader) trace.Action {
 // --- Restore ---------------------------------------------------------------
 
 // sessionRestore carries a rehydrated session's checkpointed state into
-// newSession and the worker. A genesis restore (no usable snapshot) has
+// newSession. A genesis restore (no usable snapshot) has
 // nil hb/det and zero meta except identity: the WAL replays from byte 0.
 type sessionRestore struct {
 	meta       snapMeta
@@ -753,11 +722,12 @@ type sessionRestore struct {
 	dur        *durSession
 }
 
-// applyRestore imports the checkpointed detection state into the worker's
-// fresh engine and detector/pipeline. Runs on the goroutine that owns them
-// (session worker or startFleet), before any event is processed. A restore
-// failure poisons the session (procErr) rather than silently analyzing
-// from the wrong state.
+// applyRestore imports the checkpointed state into the session's fresh
+// engine and detector. newSession runs it before the session is registered
+// on the worker pool, so no event has been stamped or detected yet. A
+// restore failure poisons the session (procErr, and stampErr so the
+// producer stops stamping) rather than silently analyzing from the wrong
+// state.
 func (s *session) applyRestore() {
 	r := s.restore
 	if r == nil || r.hb == nil {
@@ -765,6 +735,7 @@ func (s *session) applyRestore() {
 	}
 	fail := func(err error) {
 		s.procErr = fmt.Errorf("restore: %w", err)
+		s.stampErr = s.procErr
 		s.degraded = true
 	}
 	if err := s.en.ImportState(r.hb); err != nil {
@@ -778,16 +749,9 @@ func (s *session) applyRestore() {
 		}
 		return rep, nil
 	}
-	if s.p != nil {
-		if err := s.p.ImportState(r.det, repFor); err != nil {
-			fail(err)
-			return
-		}
-	} else {
-		if err := s.runner.det.ImportState(r.det, repFor); err != nil {
-			fail(err)
-			return
-		}
+	if err := s.det.ImportState(r.det, repFor); err != nil {
+		fail(err)
+		return
 	}
 	for _, obj := range r.meta.Registered {
 		s.registered[obj] = true
@@ -798,7 +762,7 @@ func (s *session) applyRestore() {
 // rehydrate loads every checkpointed session from the state dir into the
 // parked-session table, before the daemon starts serving: expired state is
 // garbage-collected, snapshots are validated (CRC) and fall back to
-// genesis WAL replay, WAL tails are replayed through the ordinary worker
+// genesis WAL replay, WAL tails are replayed through the ordinary producer
 // path, and torn tail frames are truncated (the client never saw their
 // ack, so it replays them on resume).
 func (d *daemon) rehydrate() {
@@ -907,9 +871,9 @@ func (d *daemon) rehydrateOne(dir string) {
 		return
 	}
 
-	// lastCkpt is primed before the worker starts: replay republishes
-	// boundaries and the worker may legitimately checkpoint mid-replay once
-	// the cadence from the snapshot's position says so.
+	// lastCkpt is primed before replay: replay cuts boundaries and the
+	// runnable may legitimately checkpoint mid-replay once the cadence from
+	// the snapshot's position says so.
 	ds := &durSession{d: d, sid: sid, dir: dir, every: d.ckptEvery(), fsync: d.cfg.fsyncMode,
 		lastCkpt: restore.meta.Events}
 	restore.dur = ds
@@ -933,12 +897,10 @@ func (d *daemon) rehydrateOne(dir string) {
 			ds.walOff = off
 		}
 	}
-	if tail {
-		// A replayed tail means the snapshot is stale; refresh at the next
-		// boundary. (The worker is already live — lastCkpt/force are shared.)
-		ds.force = true
-	}
 	ds.mu.Unlock()
+	// A replayed tail means the snapshot is stale; refresh at the next
+	// boundary.
+	ds.force = tail
 
 	s.publishLive(dec)
 	s.mu.Lock()
@@ -951,7 +913,7 @@ func (d *daemon) rehydrateOne(dir string) {
 }
 
 // replayWAL feeds the WAL's events through the session's ordinary
-// queue/worker path: from the snapshot's frame offset with a resumed
+// producer (readLoop without a throttle): from the snapshot's frame offset with a resumed
 // decoder, or from byte zero (genesis). Returns the decoder holding the
 // final stream state, and whether any frames beyond the snapshot were
 // replayed. A torn or corrupt tail is truncated at the last fully
@@ -984,34 +946,25 @@ func (d *daemon) replayWAL(s *session, ds *durSession, walPath string, restore *
 	}
 	dec.SetObs(s.scope)
 
-	// Rebuild boundaries as frames are re-accepted. tailOff tracks the
-	// offset after the last *fully consumed* frame: when the hook fires for
-	// frame k+1, frame k's events all reached the queue.
+	// Cut boundaries as frames are re-accepted (the frames are already on
+	// disk). tailOff tracks the offset after the last *fully consumed*
+	// frame: when the hook fires for frame k+1, frame k's events were all
+	// stamped.
 	replayOff := startOff
 	tailOff := startOff
 	frames := 0
 	dec.OnFrameAccepted = func(kind byte, payload []byte) error {
 		tailOff = replayOff
-		ds.pushBoundary(boundary{off: replayOff, cum: dec.Events(), st: dec.State()})
+		s.cut(replayOff, dec)
 		replayOff += int64(wire.FrameWireSize(len(payload)))
 		frames++
 		return nil
 	}
 	var replayErr error
-	for {
-		e, err := dec.Next()
-		if err != nil {
-			if err != io.EOF {
-				replayErr = err
-			} else {
-				tailOff = replayOff // EOF at a frame boundary: everything consumed
-			}
-			break
-		}
-		s.queue <- e
-		if s.entry != nil {
-			s.entry.Wake()
-		}
+	if err := d.readLoop(s, dec, nil); err != io.EOF {
+		replayErr = err
+	} else {
+		tailOff = replayOff // EOF at a frame boundary: everything consumed
 	}
 	dec.OnFrameAccepted = nil
 	if replayErr != nil {
@@ -1022,12 +975,6 @@ func (d *daemon) replayWAL(s *session, ds *durSession, walPath string, restore *
 		}
 		d.cfg.logger.Printf("statedir: %s wal torn at %d (%v), truncated to %d",
 			ds.dir, replayOff, replayErr, tailOff)
-		// Drop the boundary of the frame that failed to replay, if any.
-		ds.mu.Lock()
-		for len(ds.bounds) > 0 && ds.bounds[len(ds.bounds)-1].off >= tailOff {
-			ds.bounds = ds.bounds[:len(ds.bounds)-1]
-		}
-		ds.mu.Unlock()
 	}
 	return dec, frames > 0, nil
 }

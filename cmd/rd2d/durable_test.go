@@ -121,14 +121,11 @@ func waitGone(t *testing.T, path string) {
 // into a durable daemon, crash it, optionally corrupt the on-disk state,
 // rehydrate a second daemon over the same state dir, resume with a fresh
 // client, and hold summary plus JSONL verdicts to an uninterrupted
-// baseline run of the same worker mode.
-func durableRestartDiff(t *testing.T, mode string, corrupt func(t *testing.T, sdir, sid string)) {
+// baseline run.
+func durableRestartDiff(t *testing.T, corrupt func(t *testing.T, sdir, sid string)) {
 	tr, _ := racyTrace(t)
 	const sid = "dur"
-	modeCfg := func(c *daemonConfig) {
-		if mode == "fleet" {
-			c.fleet = true
-		}
+	withObs := func(c *daemonConfig) {
 		c.obsRoot = obs.NewRegistry()
 	}
 
@@ -140,9 +137,9 @@ func durableRestartDiff(t *testing.T, mode string, corrupt func(t *testing.T, sd
 	data = encodeSession(t, tr, sid, frameSize)
 	cut := len(data) * 3 / 5
 
-	// Baseline: same mode, no state dir, unsevered.
+	// Baseline: no state dir, unsevered.
 	var baseReport bytes.Buffer
-	bd, bdone := testDaemonCfg(t, &baseReport, modeCfg)
+	bd, bdone := testDaemonCfg(t, &baseReport, withObs)
 	brc, err := wire.DialSession(bd.Addr(), sid, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +172,7 @@ func durableRestartDiff(t *testing.T, mode string, corrupt func(t *testing.T, sd
 	// sink, whose checkpoint flush carries the report-continuity invariant.
 	sink1 := newReportSink(rep1, 0)
 	d1, _ := testDaemonCfg(t, nil, func(c *daemonConfig) {
-		modeCfg(c)
+		withObs(c)
 		c.stateDir = stateDir
 		c.ckptEvery = 4
 		c.resumeTTL = time.Hour
@@ -209,7 +206,7 @@ func durableRestartDiff(t *testing.T, mode string, corrupt func(t *testing.T, sd
 	sink2 := newReportSink(rep2, 0)
 	defer sink2.Close()
 	d2, done2 := testDaemonCfg(t, nil, func(c *daemonConfig) {
-		modeCfg(c)
+		withObs(c)
 		c.stateDir = stateDir
 		c.ckptEvery = 4
 		c.resumeTTL = time.Hour
@@ -282,13 +279,10 @@ func durableRestartDiff(t *testing.T, mode string, corrupt func(t *testing.T, sd
 	waitGone(t, sdir)
 }
 
-// TestDurableRestartDifferential runs the crash/restart differential in
-// both worker modes: the serial pipeline worker and fleet quanta on the
-// shared pool.
+// TestDurableRestartDifferential runs the crash/restart differential with
+// the on-disk state left as the crash left it.
 func TestDurableRestartDifferential(t *testing.T) {
-	for _, mode := range []string{"serial", "fleet"} {
-		t.Run(mode, func(t *testing.T) { durableRestartDiff(t, mode, nil) })
-	}
+	durableRestartDiff(t, nil)
 }
 
 // TestDurableTornSnapshotRecovery flips a bit in the snapshot between the
@@ -296,7 +290,7 @@ func TestDurableRestartDifferential(t *testing.T) {
 // prevent). The CRC rejects it, recovery replays the WAL from byte zero,
 // and the verdicts still match the baseline.
 func TestDurableTornSnapshotRecovery(t *testing.T) {
-	durableRestartDiff(t, "serial", func(t *testing.T, sdir, _ string) {
+	durableRestartDiff(t, func(t *testing.T, sdir, _ string) {
 		if err := faultinject.FlipFileBits(filepath.Join(sdir, "snap.ckpt"), 7, 1, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +302,7 @@ func TestDurableTornSnapshotRecovery(t *testing.T) {
 // resuming client's resend covers everything the cut lost (those frames'
 // acks died with the daemon or are resent anyway by a fresh client).
 func TestDurableTruncatedWALRecovery(t *testing.T) {
-	durableRestartDiff(t, "serial", func(t *testing.T, sdir, sid string) {
+	durableRestartDiff(t, func(t *testing.T, sdir, sid string) {
 		if err := os.Remove(filepath.Join(sdir, "snap.ckpt")); err != nil {
 			t.Fatal(err)
 		}
@@ -325,7 +319,7 @@ func TestDurableTruncatedWALRecovery(t *testing.T) {
 // snapshot as torn and fall back to genesis replay rather than seeking
 // past the end of the file.
 func TestDurableSnapshotBeyondWALRecovery(t *testing.T) {
-	durableRestartDiff(t, "serial", func(t *testing.T, sdir, sid string) {
+	durableRestartDiff(t, func(t *testing.T, sdir, sid string) {
 		meta, _, _, err := loadSnapshot(filepath.Join(sdir, "snap.ckpt"))
 		if err != nil {
 			t.Fatal(err)

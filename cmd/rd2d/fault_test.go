@@ -11,27 +11,33 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"log"
 	"net"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
 // TestDaemonSurvivesWorkerPanic arms the session-worker panic injector. The
-// session must finish with a degraded (partial but honest) summary, and the
+// session must finish with a degraded (partial but honest) summary, the
+// recovery log line must name the event the runnable panicked on, and the
 // daemon must keep serving.
 func TestDaemonSurvivesWorkerPanic(t *testing.T) {
 	tr, _ := racyTrace(t)
 	const panicAt = 10
+	var logs lockedWriter
 	d, done := testDaemonCfg(t, nil, func(c *daemonConfig) {
 		c.injectWorkerPanic = panicAt
+		c.logger = log.New(&logs, "", 0)
 	})
 
 	cl, err := wire.Dial(d.Addr(), 2*time.Second)
@@ -55,6 +61,10 @@ func TestDaemonSurvivesWorkerPanic(t *testing.T) {
 		t.Fatalf("degraded session analyzed %d events, want partial (0 < n < %d)",
 			sum.Events, tr.Len())
 	}
+	want := "recovered worker panic at event " + tr.Events[panicAt-1].String() + ": faultinject"
+	if !strings.Contains(logs.String(), want) {
+		t.Fatalf("daemon log lacks %q:\n%s", want, logs.String())
+	}
 
 	// The daemon survived: a second session still gets a summary (it is
 	// degraded too — the injector is armed per session — but delivered).
@@ -75,6 +85,58 @@ func TestDaemonSurvivesWorkerPanic(t *testing.T) {
 	}
 	if got := d.degraded.Load(); got != 2 {
 		t.Fatalf("daemon degraded counter = %d, want 2", got)
+	}
+}
+
+// TestDaemonSurvivesProducerPanic makes the first stamp panic (the session
+// has no engine). The producer's recover must degrade and count the
+// session, keep reading the stream to its end so the client would still
+// get a summary, log the event it panicked on, and leave the daemon
+// serving.
+func TestDaemonSurvivesProducerPanic(t *testing.T) {
+	obs.SetEnabled(true)
+	tr, wantRaces := racyTrace(t)
+	var stream bytes.Buffer
+	enc := wire.NewEncoder(&stream)
+	for i := range tr.Events {
+		if err := enc.WriteEvent(&tr.Events[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := enc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var logs lockedWriter
+	d, done := testDaemonCfg(t, nil, func(c *daemonConfig) { c.logger = log.New(&logs, "", 0) })
+	panics := obsSessionPanics.Load()
+
+	dec, err := wire.NewDecoder(&stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := d.newSession("", "", nil)
+	s.en = nil // the first stamp dereferences it
+	if err := d.readLoop(s, dec, nil); err != io.EOF {
+		t.Fatalf("readLoop = %v, want the stream read to its end (EOF)", err)
+	}
+	s.clean.Store(dec.Clean())
+	sum := s.finalize()
+	if !sum.Clean || !sum.Degraded || sum.ShardPanics != 1 || sum.Events != 0 {
+		t.Fatalf("summary %+v, want clean, degraded, one failed unit, no events analyzed", sum)
+	}
+	if got := obsSessionPanics.Load(); got != panics+1 {
+		t.Fatalf("rd2d.session_panics = %d, want %d", got, panics+1)
+	}
+	if want := "recovered producer panic at event " + tr.Events[0].String(); !strings.Contains(logs.String(), want) {
+		t.Fatalf("daemon log lacks %q:\n%s", want, logs.String())
+	}
+
+	if sum := streamOnce(t, d, tr, ""); sum.Degraded || sum.Races != wantRaces {
+		t.Fatalf("next session %+v, want undegraded with %d races", sum, wantRaces)
+	}
+	d.Shutdown()
+	if err := <-done; err != nil {
+		t.Fatalf("Serve: %v", err)
 	}
 }
 

@@ -1,12 +1,12 @@
 package main
 
-// Fleet-mode acceptance: the shared-worker scheduler must be a drop-in
-// replacement for the per-connection pipeline (identical verdicts over the
-// corpus), enforce admission and per-tenant quotas at the wire, keep its
-// goroutine count O(workers) rather than O(sessions), stay fair to
-// background tenants under a saturating hot tenant, and survive the chaos
-// harness (hundreds of severed-and-resumed sessions across tenants) with
-// no lost or duplicated verdicts.
+// Fleet acceptance: sessions on the shared worker pool must reproduce the
+// offline detector's verdicts byte for byte over the corpus, enforce
+// admission and per-tenant quotas at the wire, keep the goroutine count
+// O(workers) rather than O(sessions), stay fair to background tenants
+// under a saturating hot tenant, and survive the chaos harness (hundreds
+// of severed-and-resumed sessions across tenants) with no lost or
+// duplicated verdicts.
 
 import (
 	"bytes"
@@ -17,6 +17,7 @@ import (
 	"net"
 	"net/http/httptest"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"sort"
 	"strings"
@@ -55,11 +56,13 @@ func streamOnce(t *testing.T, d *daemon, tr *trace.Trace, tenant string) wire.Su
 	return sum
 }
 
-// TestFleetDifferentialCorpus is the fleet-vs-perconn oracle: every corpus
-// trace must produce the identical summary and the identical JSONL race set
-// whether it runs on a dedicated pipeline or on the shared worker pool.
-// Compaction is disabled on both sides so reported point clocks render
-// byte-identically regardless of when a worker got around to compacting.
+// TestFleetDifferentialCorpus is the daemon-vs-offline oracle: every corpus
+// trace streamed through a daemon session must produce the summary and the
+// JSONL race records of the offline serial detector (core.Detector plus
+// ReportWriter) on the same trace — byte-identical and in the same order
+// once the session id and seq the daemon stamps on each record are
+// stripped. Compaction is disabled so reported point clocks keep every
+// thread's entry, as offline.
 func TestFleetDifferentialCorpus(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("..", "..", "examples", "traces", "*"))
 	if err != nil || len(files) == 0 {
@@ -73,51 +76,69 @@ func TestFleetDifferentialCorpus(t *testing.T) {
 			if tr.Len() == 0 {
 				t.Skip("empty trace")
 			}
+			wantRaces, want := offlineReport(t, tr)
 
-			run := func(fleetMode bool) (wire.Summary, []string) {
-				var report bytes.Buffer
-				d, done := testDaemonCfg(t, &report, func(c *daemonConfig) {
-					c.compactOps = 0
-					if fleetMode {
-						c.fleet = true
-						c.fleetWorkers = 2
+			var report bytes.Buffer
+			d, done := testDaemonCfg(t, &report, func(c *daemonConfig) {
+				c.compactOps = 0
+				c.fleetWorkers = 2
+			})
+			sum := streamOnce(t, d, tr, "")
+			d.Shutdown()
+			if err := <-done; err != nil {
+				t.Fatalf("Serve: %v", err)
+			}
+			if sum.Error != "" || !sum.Clean || sum.Events != tr.Len() {
+				t.Fatalf("daemon summary %+v, want clean over %d events", sum, tr.Len())
+			}
+			if sum.Races != wantRaces {
+				t.Fatalf("daemon found %d races, offline found %d", sum.Races, wantRaces)
+			}
+			got := sessionFields.ReplaceAll(report.Bytes(), []byte("{"))
+			if !bytes.Equal(got, want) {
+				gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+				for i := 0; i < len(gl) && i < len(wl); i++ {
+					if gl[i] != wl[i] {
+						t.Fatalf("race record %d differs:\n  daemon:  %s\n  offline: %s", i, gl[i], wl[i])
 					}
-				})
-				sum := streamOnce(t, d, tr, "")
-				d.Shutdown()
-				if err := <-done; err != nil {
-					t.Fatalf("Serve: %v", err)
 				}
-				return sum, raceLines(t, &report)
-			}
-
-			baseSum, baseRaces := run(false)
-			fleetSum, fleetRaces := run(true)
-
-			if baseSum.Error != "" || !baseSum.Clean || baseSum.Events != tr.Len() {
-				t.Fatalf("per-conn summary %+v, want clean over %d events", baseSum, tr.Len())
-			}
-			if fleetSum.Error != "" || !fleetSum.Clean || fleetSum.Events != tr.Len() {
-				t.Fatalf("fleet summary %+v, want clean over %d events", fleetSum, tr.Len())
-			}
-			if fleetSum.Races != baseSum.Races {
-				t.Fatalf("fleet found %d races, per-conn found %d", fleetSum.Races, baseSum.Races)
-			}
-			if len(fleetRaces) != len(baseRaces) {
-				t.Fatalf("fleet wrote %d race records, per-conn %d", len(fleetRaces), len(baseRaces))
-			}
-			for i := range fleetRaces {
-				if fleetRaces[i] != baseRaces[i] {
-					t.Fatalf("race record %d differs:\n  fleet:    %s\n  per-conn: %s",
-						i, fleetRaces[i], baseRaces[i])
-				}
+				t.Fatalf("daemon wrote %d report lines, offline %d", len(gl), len(wl))
 			}
 		})
 	}
 }
 
+// sessionFields matches the session id and seq the daemon stamps at the
+// head of every JSONL race record.
+var sessionFields = regexp.MustCompile(`(?m)^\{"session":"[^"]*","seq":[0-9]+,`)
+
+// offlineReport runs the serial detector over tr under the daemon's
+// default spec and returns its race count and JSONL report.
+func offlineReport(t *testing.T, tr *trace.Trace) (int, []byte) {
+	t.Helper()
+	rep, err := specs.Rep("dict")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	rw := core.NewReportWriter(&buf)
+	det := core.New(core.Config{OnRace: func(r core.Race) { rw.Write(r, "dict") }})
+	for _, e := range tr.Events {
+		if e.Kind == trace.ActionEvent {
+			det.Register(e.Act.Obj, rep)
+		}
+	}
+	if err := det.RunTrace(tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := rw.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return det.Stats().Races, buf.Bytes()
+}
+
 // TestMaxSessionsCapWithoutFleet checks the -max-sessions hard cap with
-// fleet scheduling OFF: the scheduler still gates admission, the cap+1-th
+// default flags (no -fleet, which no longer changes anything): the cap+1-th
 // connection gets an explicit busy summary (ErrBusy at the client), the
 // reject is counted in obs, and releasing a session frees the slot.
 func TestMaxSessionsCapWithoutFleet(t *testing.T) {
@@ -182,6 +203,77 @@ func TestMaxSessionsCapWithoutFleet(t *testing.T) {
 	}
 }
 
+// TestTenantArenaQuota checks that -tenant-quota arena= holds for every
+// session under default flags: a plain session that pushes its tenant over
+// a tiny arena cap makes the tenant's next hello a busy reject, and once it
+// ends its arena bytes are returned and the tenant is admitted again.
+func TestTenantArenaQuota(t *testing.T) {
+	tr, wantRaces := racyTrace(t)
+	d, done := testDaemonCfg(t, nil, func(c *daemonConfig) {
+		c.tenantQuotas = map[string]fleet.Quota{"acme": {MaxArenaBytes: 1}}
+	})
+
+	cl, err := wire.Dial(d.Addr(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.SetTenant("acme"); err != nil {
+		t.Fatal(err)
+	}
+	for i := range tr.Events {
+		if err := cl.WriteEvent(&tr.Events[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); tenantArena(d, "acme") == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("a resident session's detector arena was never charged to its tenant")
+		}
+	}
+
+	over, err := wire.Dial(d.Addr(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := over.SetTenant("acme"); err != nil {
+		t.Fatal(err)
+	}
+	if err := over.WriteEvent(&tr.Events[0]); err != nil {
+		t.Fatal(err)
+	}
+	sum, err := over.Close(5 * time.Second)
+	if !errors.Is(err, wire.ErrBusy) || !sum.Busy || !strings.Contains(sum.Error, "arena") {
+		t.Fatalf("over-arena hello: err = %v, summary %+v; want a busy arena reject", err, sum)
+	}
+
+	if sum, err := cl.Close(10 * time.Second); err != nil || sum.Races != wantRaces {
+		t.Fatalf("resident session: err = %v, summary %+v", err, sum)
+	}
+	if n := tenantArena(d, "acme"); n != 0 {
+		t.Fatalf("tenant still charged %d arena bytes after its only session ended", n)
+	}
+	if sum := streamOnce(t, d, tr, "acme"); sum.Busy || sum.Error != "" {
+		t.Fatalf("post-release session: %+v, want admitted and clean", sum)
+	}
+	d.Shutdown()
+	if err := <-done; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+}
+
+// tenantArena reads the arena bytes the scheduler charges to tenant.
+func tenantArena(d *daemon, tenant string) int64 {
+	for _, ts := range d.sched.Tenants() {
+		if ts.Name == tenant {
+			return ts.ArenaBytes
+		}
+	}
+	return 0
+}
+
 // waitTenantSessions polls the scheduler until the tenant holds exactly n
 // resident sessions (0 is satisfied by the tenant being absent entirely).
 func waitTenantSessions(t *testing.T, d *daemon, tenant string, n int) {
@@ -214,7 +306,6 @@ func TestFleetParkedSessionsGoroutineBudget(t *testing.T) {
 	tr, _ := racyTrace(t)
 	const sessions = 24
 	d, done := testDaemonCfg(t, nil, func(c *daemonConfig) {
-		c.fleet = true
 		c.fleetWorkers = 2
 		c.idleTimeout = time.Minute // keep parked sessions resident while we count
 	})
@@ -333,7 +424,6 @@ func TestFleetMultiTenantChaos(t *testing.T) {
 	}
 	var report bytes.Buffer
 	d, done := testDaemonCfg(t, &report, func(c *daemonConfig) {
-		c.fleet = true
 		c.compactOps = 0
 		c.tenantQuotas = quotas
 		c.idleTimeout = time.Minute
@@ -487,7 +577,6 @@ func TestFleetNoStarvationUnderHotTenant(t *testing.T) {
 	wantRaces := det.Stats().Races
 
 	d, done := testDaemonCfg(t, nil, func(c *daemonConfig) {
-		c.fleet = true
 		c.fleetWorkers = 1
 		c.fleetQuantum = 64
 	})
@@ -532,7 +621,6 @@ func TestFleetTenantSurfaces(t *testing.T) {
 	obs.SetEnabled(true)
 	tr, wantRaces := racyTrace(t)
 	d, done := testDaemonCfg(t, nil, func(c *daemonConfig) {
-		c.fleet = true
 		c.fleetWorkers = 2
 	})
 	if sum := streamOnce(t, d, tr, "acme"); sum.Races != wantRaces || sum.Error != "" {
@@ -600,7 +688,6 @@ func TestFleetSurvivesInjectedWorkerPanic(t *testing.T) {
 	tr, _ := racyTrace(t)
 	const panicAt = 10
 	d, done := testDaemonCfg(t, nil, func(c *daemonConfig) {
-		c.fleet = true
 		c.fleetWorkers = 2
 		c.injectWorkerPanic = panicAt
 	})

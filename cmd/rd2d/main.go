@@ -1,9 +1,8 @@
 // Command rd2d is the online commutativity race detection daemon: the
 // streaming counterpart of cmd/rd2. It listens on TCP for RDB2 binary
-// trace streams (internal/wire), runs one detection session per
-// connection — incremental happens-before stamping feeding the sharded
-// detection pipeline — and reports races as they are found, while the
-// monitored program is still running.
+// trace streams (internal/wire), runs one detection session per stream,
+// and reports races as they are found, while the monitored program is
+// still running.
 //
 //	rd2d -listen 127.0.0.1:7029 -spec dict -report races.jsonl -http :6060
 //
@@ -12,14 +11,20 @@
 // writer of the wire format (wire.Client). Each session is acknowledged
 // with a one-line JSON summary {"events":N,"races":M,"clean":true}.
 //
-// Production shape: per-connection ingest queues are bounded — when
-// detection falls behind, the socket blocks and TCP flow control pushes
-// back on the producer instead of buffering without limit; reads carry an
-// idle timeout; SIGTERM/SIGINT drains gracefully (in-flight sessions stop
-// ingesting, flush their pending shards, and write complete reports before
-// the process exits). -http serves /metrics with ingest counters (frames,
-// bytes, events, queue depth, backpressure stalls) next to the detector
-// metrics.
+// One session runtime: the connection's read loop decodes and stamps each
+// event (incremental happens-before) and hands stamped events in batches
+// to the session's runnable, which a shared worker pool (internal/fleet,
+// -fleet-workers) schedules in quanta with per-tenant deficit-round-robin
+// fairness to run the serial detector. Sessions are admitted under
+// -max-sessions, a global event budget, and per-tenant quotas. The
+// hand-off queue is bounded — when detection falls behind, the read loop
+// blocks and TCP flow control pushes back on the producer instead of
+// buffering without limit; reads carry an idle timeout; SIGTERM/SIGINT
+// drains gracefully (in-flight sessions stop ingesting, detect what they
+// ingested, and write complete reports before the process exits). -http
+// serves /metrics with ingest counters (frames, bytes, events, queue
+// depth, backpressure stalls) next to the detector metrics, plus
+// /sessions and /tenants.
 //
 // The exit status is 1 when any session found races, 2 on startup errors.
 package main
@@ -30,7 +35,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -56,9 +60,8 @@ func run(args []string) int {
 	specName := fs.String("spec", "dict", "default specification: built-in name or file path")
 	bind := fs.String("bind", "", "per-object specs, e.g. 0=dict,3=set")
 	engine := fs.String("engine", "bounded", "conflict engine: bounded or enumerating")
-	shards := fs.Int("shards", runtime.GOMAXPROCS(0), "detection shards per session")
 	maxRaces := fs.Int("max-races", 100, "maximum races retained per session")
-	queueLen := fs.Int("queue", 1024, "per-connection ingest queue depth in events")
+	queueLen := fs.Int("queue", 1024, "per-session hand-off queue depth in events, between stamping and detection")
 	idleTimeout := fs.Duration("idle-timeout", 30*time.Second, "per-read idle timeout (0 disables)")
 	writeTimeout := fs.Duration("write-timeout", DefaultWriteTimeout, "summary/ack write deadline (also applied to the -report writer when it supports deadlines)")
 	resumeTTL := fs.Duration("resume-ttl", DefaultResumeTTL, "how long a resumable session survives a lost connection")
@@ -68,10 +71,10 @@ func run(args []string) int {
 	fsyncMode := fs.String("fsync", "ckpt", "with -statedir: off (safe against process crashes only), ckpt (fsync WAL and snapshot at checkpoints), always (also fsync every WAL append)")
 	inject := fs.String("inject", "", "fault injection for chaos testing, e.g. rep-panic:100 or worker-panic:50")
 	compactOps := fs.Int("compact-every", 4096, "compact reclaimable detector state at most once per this many events (0 disables; compaction may trim dead-thread entries from reported point clocks)")
-	fleetMode := fs.Bool("fleet", false, "multi-tenant fleet scheduling: run sessions as quanta on a shared worker pool with per-tenant deficit-round-robin fairness (sessions stamp serially; -shards applies only to per-conn mode)")
-	fleetWorkers := fs.Int("fleet-workers", 0, "fleet worker pool size (with -fleet; 0 = GOMAXPROCS)")
+	fs.Bool("fleet", false, "ignored: every session runs on the shared worker pool (accepted so older command lines still parse)")
+	fleetWorkers := fs.Int("fleet-workers", 0, "detection worker pool size shared by all sessions (0 = GOMAXPROCS)")
 	fleetQuantum := fs.Int("fleet-quantum", 0, "events granted per tenant scheduling round (0 = built-in default)")
-	maxSessions := fs.Int("max-sessions", 0, "reject new sessions beyond this resident count with a retryable busy summary (0 = unbounded; enforced with or without -fleet)")
+	maxSessions := fs.Int("max-sessions", 0, "reject new sessions beyond this resident count with a retryable busy summary (0 = unbounded)")
 	globalRate := fs.Float64("global-events-per-sec", 0, "daemon-wide ingest budget; resident sessions overdraft it, but new sessions are rejected busy while it is overdrawn (0 = unlimited)")
 	tenantQuota := fs.String("tenant-quota", "",
 		"per-tenant quotas: 'name:events=5000,burst=500,sessions=4,arena=64MB;...' (name 'default' sets the quota for unlisted tenants)")
@@ -87,7 +90,6 @@ func run(args []string) int {
 	logger := log.New(os.Stderr, "rd2d: ", 0)
 	cfg := daemonConfig{
 		defaultSpec:  *specName,
-		shards:       *shards,
 		maxRaces:     *maxRaces,
 		queueLen:     *queueLen,
 		idleTimeout:  *idleTimeout,
@@ -98,7 +100,6 @@ func run(args []string) int {
 		ckptEvery:    *ckptEvery,
 		compactOps:   *compactOps,
 		logger:       logger,
-		fleet:        *fleetMode,
 		fleetWorkers: *fleetWorkers,
 		fleetQuantum: *fleetQuantum,
 		maxSessions:  *maxSessions,
@@ -227,7 +228,7 @@ func run(args []string) int {
 		d.rehydrate()
 		d.phase.Store(phaseServing)
 	}
-	logger.Printf("listening on %s (spec %s, %d shards)", d.Addr(), *specName, *shards)
+	logger.Printf("listening on %s (spec %s, %d workers)", d.Addr(), *specName, d.sched.Workers())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

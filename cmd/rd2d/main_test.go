@@ -63,7 +63,6 @@ func testDaemonCfg(t *testing.T, report *bytes.Buffer, mut func(*daemonConfig)) 
 		defaultRep:  rep,
 		defaultSpec: "dict",
 		engine:      core.EngineBounded,
-		shards:      2,
 		maxRaces:    100,
 		queueLen:    64,
 		idleTimeout: 5 * time.Second,

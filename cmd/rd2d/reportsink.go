@@ -8,7 +8,7 @@ import (
 
 // reportPendingCap bounds the bytes queued for the report file. A producer
 // whose record would push the pending batch past it waits for the flusher,
-// so a stuck reader still pushes back on the session workers instead of
+// so a stuck reader still pushes back on the detecting sessions instead of
 // letting the daemon buffer without limit.
 const reportPendingCap = 256 << 10
 

@@ -299,7 +299,7 @@ func TestReportFailureExitStatus(t *testing.T) {
 	}
 	cmd := exec.Command(os.Args[0], "-test.run=^TestReportFailureExitStatus$")
 	cmd.Env = append(os.Environ(), "RD2D_TEST_MAIN="+strings.Join([]string{
-		"-listen", "127.0.0.1:0", "-report", fifo, "-write-timeout", "100ms", "-shards", "1", "-q",
+		"-listen", "127.0.0.1:0", "-report", fifo, "-write-timeout", "100ms", "-q",
 	}, "\n"))
 	stderr, err := cmd.StderrPipe()
 	if err != nil {

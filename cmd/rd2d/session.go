@@ -5,15 +5,15 @@ package main
 // and die with their connection, but a stream that opens with a hello
 // frame (a client-chosen session id) becomes resumable — if its connection
 // drops mid-stream the session is parked with its full detection state
-// (happens-before engine, pipeline shards, interning table, chunk cursor)
-// and a reconnecting client resumes it by replaying unacknowledged chunks,
-// which the decoder deduplicates by sequence number. The analysis worker
-// is supervised: a panic degrades the session to a partial-but-honest
+// (happens-before engine, detector, interning table, chunk cursor) and a
+// reconnecting client resumes it by replaying unacknowledged chunks, which
+// the decoder deduplicates by sequence number. Both halves of the session
+// runtime (runnable.go) are supervised: a panic in the stamping producer or
+// in the detecting runnable degrades the session to a partial-but-honest
 // report instead of killing the daemon.
 
 import (
 	"fmt"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,14 +24,14 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/hb"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
 // Session lifecycle metrics: the active-session gauge moves by exactly one
-// per session regardless of how it ends (clean close, idle timeout, worker
-// panic, TTL expiry — see obs.Gauge.Enter), and the counters classify ends.
+// per session regardless of how it ends (clean close, idle timeout, a
+// recovered panic, TTL expiry — see obs.Gauge.Enter), and the counters
+// classify ends.
 var (
 	obsActiveSessions = obs.GetGauge("rd2d.active_sessions")
 	obsSessionPanics  = obs.GetCounter("rd2d.session_panics")
@@ -43,36 +43,42 @@ var (
 
 // sessObs bundles the per-session instruments, resolved from the session's
 // scope so every write rolls up into the daemon-global series: ingest
-// counters (frames, events, races, backpressure), the queue-depth gauge
-// whose peak is the session's high-water backlog, and the two stage spans
-// the session records itself (wire decode and report emit; the skeleton,
-// stamp, dispatch, and detect spans come from the hb engine and pipeline
-// instruments resolved against the same scope).
+// counters (frames, events, races, blocked batch hand-offs), the gauge of
+// events handed off but not yet detected, whose peak is the session's
+// high-water backlog, and the six stage spans in stream order.
 type sessObs struct {
-	frames *obs.Counter
-	events *obs.Counter
-	races  *obs.Counter
-	stalls *obs.Counter
-	queue  *obs.Gauge
-	decode *obs.Span
-	report *obs.Span
+	frames   *obs.Counter
+	events   *obs.Counter
+	races    *obs.Counter
+	stalls   *obs.Counter
+	queue    *obs.Gauge
+	decode   *obs.Span
+	skel     *obs.Span
+	stamp    *obs.Span
+	dispatch *obs.Span
+	detect   *obs.Span
+	report   *obs.Span
 }
 
 func newSessObs(scope *obs.Registry) *sessObs {
 	return &sessObs{
-		frames: scope.Counter("rd2d.frames"),
-		events: scope.Counter("rd2d.events"),
-		races:  scope.Counter("rd2d.races"),
-		stalls: scope.Counter("rd2d.backpressure_stalls"),
-		queue:  scope.Gauge("rd2d.queue_events"),
-		decode: scope.Span(obs.StageDecode),
-		report: scope.Span(obs.StageReport),
+		frames:   scope.Counter("rd2d.frames"),
+		events:   scope.Counter("rd2d.events"),
+		races:    scope.Counter("rd2d.races"),
+		stalls:   scope.Counter("rd2d.backpressure_stalls"),
+		queue:    scope.Gauge("rd2d.queue_events"),
+		decode:   scope.Span(obs.StageDecode),
+		skel:     scope.Span(obs.StageSkeleton),
+		stamp:    scope.Span(obs.StageStamp),
+		dispatch: scope.Span(obs.StageDispatch),
+		detect:   scope.Span(obs.StageDetect),
+		report:   scope.Span(obs.StageReport),
 	}
 }
 
 // session states (guarded by session.mu).
 const (
-	stateAttached  = iota // a connection's read loop is feeding the queue
+	stateAttached  = iota // a connection's read loop is the producer
 	stateParked           // no connection; detection state held under TTL
 	stateCompleted        // summary finalized (stored for re-delivery)
 )
@@ -80,9 +86,9 @@ const (
 // DefaultResumeTTL is how long a parked session waits for its client.
 const DefaultResumeTTL = 30 * time.Second
 
-// session is one detection run: the bounded event queue between the
-// connection read loop and the supervised analysis worker, plus the state
-// needed to park and resume across connections.
+// session is one detection run: the stamping producer, the bounded batch
+// queue, and the detecting runnable (runnable.go), plus the state needed
+// to park and resume across connections.
 type session struct {
 	d      *daemon
 	id     int64  // daemon-local ordinal (logging)
@@ -90,16 +96,15 @@ type session struct {
 	name   string // scope id: sid, or "conn-<id>" for plain sessions
 	tenant string // quota/scheduling tenant (fleet.DefaultTenant when unset)
 
-	// Fleet-mode execution (nil with -fleet off): the run-queue entry on
-	// the shared scheduler and its serial runner. admit releases the
-	// session's admission reservation; finalize calls it (idempotent).
-	entry  *fleet.Entry
-	runner *fleetRunner
-	admit  func()
+	// entry is the session's run-queue entry on the shared worker pool (the
+	// session is its fleet.Runnable). admit releases the session's
+	// admission reservation; finalize calls it (idempotent).
+	entry *fleet.Entry
+	admit func()
 
 	// Durable-session state (nil without -statedir or for plain streams):
 	// the WAL + snapshot machinery and, on a rehydrated session, the
-	// checkpointed state the worker imports before processing.
+	// checkpointed state newSession imports before any event.
 	dur     *durSession
 	restore *sessionRestore
 
@@ -107,23 +112,40 @@ type session struct {
 	ob    *sessObs
 	sr    *core.SessionReporter // stamps session+seq on JSONL records (nil without -report)
 
-	queue chan trace.Event
-	done  chan struct{} // worker exited (detection results final)
+	// queue carries stamped batches from producer to runnable (closed by
+	// finalize); its capacity is -queue events in whole batches, the
+	// backlog before the producer blocks. free returns consumed batch
+	// buffers to the producer, sized for every batch that can exist at
+	// once: the queued ones, the one being filled, the one being detected.
+	queue chan []item
+	free  chan []item
+	done  chan struct{} // runnable finished (detection results final)
 	final chan struct{} // summary assembled (read s.summary after this)
 
-	// Worker-owned detection state; touched outside the worker only after
+	// Producer-owned stamping state, used by whichever goroutine feeds the
+	// session: a connection's read loop, or WAL replay during rehydration.
+	// It moves between read loops under mu, exactly as dec does on resume,
+	// and finalize reads it only once no producer runs.
+	en            *hb.Engine
+	pending       []item    // batch under construction
+	sinceCompact  int       // events since the last scheduled compaction
+	stampErr      error     // first stamping failure; later events pass unstamped
+	stampPanicked bool      // a stamping panic was recovered; later events are dropped
+	ckpt          *boundary // due checkpoint cut awaiting the next event
+
+	// Runnable-owned detection state; touched outside RunQuantum only after
 	// <-done (the channel close is the happens-before edge).
-	en          *hb.Engine
-	p           *pipeline.Pipeline
-	registered  map[trace.ObjID]bool
-	wrapRep     func(ap.Rep) ap.Rep // fault-injection hook (nil normally)
-	events      int
-	races       int
-	shardPanics int
-	degraded    bool // pipeline degraded or worker panicked
-	panicked    bool
-	procErr     error
-	lastEv      string // most recent event, for panic reports
+	det        *core.Detector
+	registered map[trace.ObjID]bool
+	wrapRep    func(ap.Rep) ap.Rep // fault-injection hook (nil normally)
+	cur        []item              // batch being detected
+	pos        int                 // cursor into cur, kept across quanta
+	events     int
+	races      int
+	degraded   bool
+	panicked   bool // detection panicked: later events are drained unanalyzed
+	finished   bool
+	procErr    error
 
 	// Reader-published stream facts (set before the queue closes).
 	clean   atomic.Bool
@@ -152,9 +174,9 @@ type session struct {
 // pokeable is the slice of net.Conn the session needs from its connection.
 type pokeable interface{ SetReadDeadline(time.Time) error }
 
-// newSession creates a session and starts its supervised worker. Every
-// session gets its own metric scope ("session" = its id) under the daemon's
-// registry root: the engine, pipeline shards, decoder, and the session's
+// newSession creates a session and registers it on the shared worker pool.
+// Every session gets its own metric scope ("session" = its id) under the
+// daemon's registry root: the engine, detector, decoder, and the session's
 // own ingest instruments all record into it, and every write rolls up into
 // the global series, so /sessions and /metrics?session=ID attribute the
 // fleet numbers per tenant at no extra bookkeeping.
@@ -168,6 +190,7 @@ func (d *daemon) newSession(sid, tenant string, restore *sessionRestore) *sessio
 		tenant = fleet.DefaultTenant
 	}
 	scope := d.obsRoot().Scope("session", name)
+	batches := max(1, d.cfg.queueLen/batchLen)
 	s := &session{
 		d:          d,
 		id:         id,
@@ -177,7 +200,8 @@ func (d *daemon) newSession(sid, tenant string, restore *sessionRestore) *sessio
 		restore:    restore,
 		scope:      scope,
 		ob:         newSessObs(scope),
-		queue:      make(chan trace.Event, d.cfg.queueLen),
+		queue:      make(chan []item, batches),
+		free:       make(chan []item, batches+2),
 		done:       make(chan struct{}),
 		final:      make(chan struct{}),
 		registered: map[trace.ObjID]bool{},
@@ -214,16 +238,11 @@ func (d *daemon) newSession(sid, tenant string, restore *sessionRestore) *sessio
 	if d.cfg.injectRepPanic > 0 {
 		s.wrapRep = faultinject.WrapAllReps(d.cfg.injectRepPanic)
 	}
+	s.det = core.New(ccfg)
+	s.applyRestore()
+	s.entry = d.sched.Register(tenant, s)
 	s.releaseGauge = obsActiveSessions.Enter()
 	d.track(s)
-	if d.cfg.fleet {
-		// Fleet mode: no private goroutine, no per-session shards. The
-		// session runs as quanta on the shared worker pool.
-		s.startFleet(ccfg)
-	} else {
-		s.p = pipeline.New(pipeline.Config{Shards: d.cfg.shards, Core: ccfg, Obs: scope})
-		go s.work()
-	}
 	return s
 }
 
@@ -234,110 +253,6 @@ func (s *session) logf(format string, args ...any) {
 		who = fmt.Sprintf("session %d (id %q)", s.id, s.sid)
 	}
 	s.d.cfg.logger.Printf("%s: %s", who, fmt.Sprintf(format, args...))
-}
-
-// work is the supervised analysis worker: incremental happens-before
-// stamping into the sharded pipeline, with lazy registration and periodic
-// compaction. A panic is recovered — logged with the offending event and
-// stack, counted, and degraded to a partial result — and the worker keeps
-// draining the queue so the connection read loop can never block forever
-// on a dead session.
-func (s *session) work() {
-	defer close(s.done)
-	defer func() {
-		if r := recover(); r != nil {
-			s.panicked = true
-			s.degraded = true
-			obsSessionPanics.Inc()
-			s.logf("recovered worker panic at event %s: %v\n%s", s.lastEv, r, debug.Stack())
-			for range s.queue {
-			} // drain: the reader must never block on a dead worker
-			s.collect()
-		}
-	}()
-	s.workSerial()
-	s.collect()
-}
-
-// workSerial is the per-conn worker loop: incremental serial stamping,
-// immediate dispatch. Per-event stamping time is attributed to the
-// skeleton or stamp stage span by event kind: sync events walk the engine
-// state (the skeleton work), body events reduce to stamping the segment
-// snapshot.
-func (s *session) workSerial() {
-	s.applyRestore()
-	skel := s.scope.Span(obs.StageSkeleton)
-	stamp := s.scope.Span(obs.StageStamp)
-	sinceCompact := 0
-	for e := range s.queue {
-		// Before the count advances, the worker sits exactly at the frame
-		// boundary a checkpoint needs (events processed == boundary cum).
-		s.maybeCheckpoint()
-		s.events++
-		sinceCompact++
-		if s.procErr != nil {
-			continue // drain
-		}
-		s.lastEv = e.String()
-		if n := s.d.cfg.injectWorkerPanic; n > 0 && s.events == n {
-			panic(fmt.Sprintf("faultinject: injected worker panic at event %d", n))
-		}
-		sp := skel
-		if hb.IsBodyEvent(e.Kind) {
-			sp = stamp
-		}
-		start := sp.Start()
-		_, err := s.en.Process(&e)
-		sp.End(start, 1)
-		if err != nil {
-			s.procErr = fmt.Errorf("event %d (%s): %w", e.Seq, e.String(), err)
-			continue
-		}
-		s.dispatch(&e, &sinceCompact)
-	}
-}
-
-// dispatch feeds one stamped event to the pipeline: lazy registration
-// ahead of the object's first action, then the event itself, then the
-// post-join compaction check.
-func (s *session) dispatch(e *trace.Event, sinceCompact *int) {
-	if e.Kind == trace.ActionEvent && !s.registered[e.Act.Obj] {
-		rep, _ := s.d.repFor(e.Act.Obj)
-		if s.wrapRep != nil {
-			rep = s.wrapRep(rep)
-		}
-		s.p.Register(e.Act.Obj, rep)
-		s.registered[e.Act.Obj] = true
-	}
-	s.p.Process(e)
-	if e.Kind == trace.JoinEvent && s.d.cfg.compactOps > 0 && *sinceCompact >= s.d.cfg.compactOps {
-		s.p.Compact(s.en.MeetLive())
-		*sinceCompact = 0
-	}
-}
-
-// collect closes the pipeline and harvests its results, under its own
-// panic guard: even a detector that dies during the final merge yields
-// whatever it reported before dying (an honestly degraded result) rather
-// than losing the session.
-func (s *session) collect() {
-	defer func() {
-		if r := recover(); r != nil {
-			s.panicked = true
-			s.degraded = true
-			obsSessionPanics.Inc()
-			s.logf("recovered panic collecting results: %v\n%s", r, debug.Stack())
-		}
-	}()
-	if err := s.p.Close(); err != nil && s.procErr == nil {
-		s.procErr = err
-	}
-	st := s.p.Stats()
-	s.races = st.Races
-	s.shardPanics = s.p.ShardPanics()
-	if s.p.Degraded() {
-		s.degraded = true
-	}
 }
 
 // publishLive copies dec's live figures for /sessions. Only the goroutine
@@ -407,10 +322,10 @@ func (s *session) expire() {
 }
 
 // finalize ends the session exactly once: close the queue, wait for the
-// worker, assemble the summary from detection results plus stream facts
+// runnable, assemble the summary from detection results plus stream facts
 // (resync skips, resumes), do the daemon bookkeeping, and release the
 // active-session gauge. Every later (or concurrent) call waits and returns
-// the same summary. Callers must guarantee no read loop is feeding the
+// the same summary. Callers must guarantee no producer is feeding the
 // queue — clean end, parked, or drain-cut states all do.
 func (s *session) finalize() wire.Summary {
 	s.finishOnce.Do(func() {
@@ -422,19 +337,13 @@ func (s *session) finalize() wire.Summary {
 		}
 		s.mu.Unlock()
 		close(s.queue)
-		if s.entry != nil {
-			// Fleet mode: the closed queue is drained and collected by a
-			// shared worker; wake the entry so an idle session notices.
-			s.entry.Wake()
-		}
+		s.entry.Wake() // an idle runnable must notice the close
 		<-s.done
 		// Report barrier: the session's records reach the file before its
 		// summary can reach the client. A failed report stays sticky on the
 		// sink and fails the daemon at exit; the summary still goes out.
 		_ = s.d.cfg.reportSink.Flush()
-		if s.entry != nil {
-			s.entry.Close()
-		}
+		s.entry.Close()
 		if s.admit != nil {
 			s.admit()
 		}
@@ -446,21 +355,24 @@ func (s *session) finalize() wire.Summary {
 
 		s.mu.Lock()
 		sum := wire.Summary{
-			Events:      s.events,
-			Races:       s.races,
-			Clean:       s.clean.Load(),
-			Resumes:     s.resumes,
-			SessionID:   s.sid,
-			ShardPanics: s.shardPanics,
+			Events:    s.events,
+			Races:     s.races,
+			Clean:     s.clean.Load(),
+			Resumes:   s.resumes,
+			SessionID: s.sid,
 		}
+		// Each supervised half that panicked counts as a failed unit.
 		if s.panicked {
-			sum.ShardPanics++ // the worker itself counts as a failed unit
+			sum.ShardPanics++
+		}
+		if s.stampPanicked {
+			sum.ShardPanics++
 		}
 		if s.dec != nil {
 			sum.SkippedFrames = s.dec.SkippedFrames()
 			sum.SkippedBytes = s.dec.SkippedBytes()
 		}
-		sum.Degraded = s.degraded || sum.SkippedFrames > 0 || sum.SkippedBytes > 0
+		sum.Degraded = s.degraded || s.stampPanicked || sum.SkippedFrames > 0 || sum.SkippedBytes > 0
 		if s.procErr != nil {
 			sum.Error = s.procErr.Error()
 		} else if m, ok := s.readErr.Load().(string); ok && m != "" {

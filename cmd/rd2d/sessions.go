@@ -33,12 +33,12 @@ type sessionInfo struct {
 	Ordinal  int64  `json:"ordinal"`           // daemon-local session number
 	Tenant   string `json:"tenant,omitempty"`  // quota/scheduling tenant
 	State    string `json:"state"`             // attached | parked | completed
-	Sched    string `json:"sched,omitempty"`   // fleet state: idle | runnable | running | throttled
+	Sched    string `json:"sched,omitempty"`   // scheduler state: idle | runnable | running | throttled | closed
 	Resumes  int    `json:"resumes,omitempty"` // times re-attached after a lost conn
 	Events   int    `json:"events"`            // events ingested off the wire
 	Races    uint64 `json:"races"`
-	Queue    int    `json:"queue"`       // current ingest queue depth, events
-	QueuePk  int64  `json:"queue_peak"`  // high-water ingest backlog
+	Queue    int    `json:"queue"`       // events handed off, not yet detected
+	QueuePk  int64  `json:"queue_peak"`  // high-water hand-off backlog, events
 	AckedSeq uint64 `json:"acked_chunk"` // last acked chunk seq (resumable streams)
 	LastSeq  uint64 `json:"last_seq"`    // last JSONL race record seq stamped
 	Degraded bool   `json:"degraded"`
@@ -47,24 +47,22 @@ type sessionInfo struct {
 	Stages map[string]stageStat `json:"stages,omitempty"`
 }
 
-// info snapshots one session. Detection state owned by the worker is read
-// from the session's metric scope (witnessed by atomic loads), never from
-// the worker's private fields, so this is safe mid-flight.
+// info snapshots one session. Detection state owned by the runnable is
+// read from the session's metric scope (witnessed by atomic loads), never
+// from the runnable's private fields, so this is safe mid-flight.
 func (s *session) info() sessionInfo {
 	in := sessionInfo{
 		Session: s.name,
 		Ordinal: s.id,
 		Tenant:  s.tenant,
-		Queue:   len(s.queue),
+		Queue:   int(s.ob.queue.Load()),
 		QueuePk: s.ob.queue.Peak(),
 		Races:   s.scope.Counter("core.races").Load(),
 	}
 	if s.sr != nil {
 		in.LastSeq = s.sr.Seq()
 	}
-	if s.entry != nil {
-		in.Sched = s.entry.State()
-	}
+	in.Sched = s.entry.State()
 	s.mu.Lock()
 	// A connection stalled in its tenant's throttle overrides the
 	// scheduler state: the session is not waiting for a worker, its
@@ -88,9 +86,9 @@ func (s *session) info() sessionInfo {
 		in.AckedSeq = n - 1
 	}
 	// Once final closes the summary is immutable and has the exact figures
-	// (including worker panics the decoder cannot see). A session that is
-	// still mid-finalize keeps its live approximation — never block a
-	// monitoring read on a draining worker.
+	// (including panics the decoder cannot see). A session that is still
+	// mid-finalize keeps its live approximation — never block a monitoring
+	// read on a draining session.
 	select {
 	case <-s.final:
 		sum := s.summary

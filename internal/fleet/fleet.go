@@ -1,5 +1,5 @@
-// Package fleet is the multi-tenant session scheduler behind rd2d's
-// -fleet mode. It multiplexes many logical detection sessions over a
+// Package fleet is the multi-tenant session scheduler that runs every
+// rd2d session. It multiplexes many logical detection sessions over a
 // fixed pool of workers and enforces three policies at the daemon's
 // front door:
 //
@@ -22,15 +22,12 @@
 //     sessions it has queued.
 //
 // The scheduler owns no goroutines beyond its workers: total daemon
-// goroutine count in fleet mode is O(workers + connections), not
-// O(sessions x shards). With Workers == 0 the scheduler still provides
-// admission and quota enforcement (rd2d uses that for -max-sessions
-// with -fleet off); Register must not be used in that configuration,
-// as queued entries would never run.
+// goroutine count is O(workers + connections), not O(sessions).
 package fleet
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,8 +71,8 @@ type Quota struct {
 
 // Config configures a Scheduler.
 type Config struct {
-	// Workers is the size of the detection worker pool. Zero means no
-	// workers: admission and quota enforcement only.
+	// Workers is the size of the detection worker pool; zero means
+	// GOMAXPROCS.
 	Workers int
 	// MaxSessions bounds the global resident session table. Zero means
 	// unbounded.
@@ -227,6 +224,9 @@ func New(cfg Config) *Scheduler {
 	if s.quantum <= 0 {
 		s.quantum = DefaultQuantum
 	}
+	if s.cfg.Workers <= 0 {
+		s.cfg.Workers = runtime.GOMAXPROCS(0)
+	}
 	if s.reg == nil {
 		s.reg = obs.NewRegistry()
 	}
@@ -244,8 +244,8 @@ func New(cfg Config) *Scheduler {
 	if cfg.GlobalEventsPerSec > 0 {
 		s.global = newBucket(cfg.GlobalEventsPerSec, cfg.GlobalBurst, s.now())
 	}
-	s.wg.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
+	s.wg.Add(s.cfg.Workers)
+	for i := 0; i < s.cfg.Workers; i++ {
 		go s.worker()
 	}
 	return s

@@ -48,8 +48,8 @@ import (
 
 // pipeObs bundles the pipeline-wide obs instruments, resolved once per
 // pipeline from Config.Obs (per-shard instruments live on each shard so
-// every worker updates its own cache line). Pipelines built against an rd2d
-// session scope produce per-session series that roll up into the globals.
+// every worker updates its own cache line). Pipelines built against a
+// scoped registry produce per-scope series that roll up into the globals.
 type pipeObs struct {
 	events  *obs.Counter
 	batches *obs.Counter
@@ -98,7 +98,7 @@ type Config struct {
 	// invoked from shard goroutines and must be safe for concurrent use.
 	Core core.Config
 	// Obs is the registry the pipeline's counters, gauges, and stage spans
-	// record into (an rd2d session scope, say); nil means obs.Default. When
+	// record into (a scoped registry, say); nil means obs.Default. When
 	// Core.Obs is nil it inherits this registry, so shard detectors report
 	// into the same scope.
 	Obs *obs.Registry
@@ -111,17 +111,7 @@ const (
 	itemEvent    itemKind = iota // ev: a stamped action or die event
 	itemRegister                 // ev.Act.Obj + rep: object registration
 	itemCompact                  // threshold: compaction request
-	itemCtl                      // ctl: barrier control function (Barrier)
 )
-
-// ctlItem is one shard's share of a Barrier: fn runs on the shard goroutine
-// against its private detector, then done receives whether it actually ran
-// (false when the shard was retired by a panic or stopped by an error). The
-// channel is buffered so the shard never blocks on a slow barrier caller.
-type ctlItem struct {
-	fn   func(*core.Detector)
-	done chan bool
-}
 
 // item is one ordered message to a shard.
 type item struct {
@@ -129,7 +119,6 @@ type item struct {
 	ev        trace.Event
 	rep       ap.Rep
 	threshold vclock.VC
-	ctl       *ctlItem
 }
 
 // shard is one worker: a private detector fed over a bounded channel. Each
@@ -151,7 +140,6 @@ type shard struct {
 	done   chan struct{}
 	err    error // first processing error (shard keeps draining)
 	errSeq int
-	panics int  // recovered panics (first one retires the detector)
 	dead   bool // detector retired after a panic; shard drains only
 
 	obsQueue  *obs.Gauge   // pipeline.shard.<i>.queue_batches
@@ -177,7 +165,6 @@ type Pipeline struct {
 	races    []core.Race
 	stats    core.Stats
 	distinct int
-	panics   int
 	err      error
 }
 
@@ -269,13 +256,12 @@ func (p *Pipeline) run(s *shard) {
 // returns the number of events it carried. A recovered panic is logged with
 // the offending item and stack, counted (pipeline.shard_panics), and
 // retires the detector: the shard keeps draining so the producer never
-// blocks, the races found before the panic are still merged (best-effort,
-// see Close), and the pipeline reports Degraded.
+// blocks, and the races found before the panic are still merged
+// (best-effort, see Close).
 func (p *Pipeline) runBatch(s *shard, batch []item) (nEvents int) {
 	i := 0
 	defer func() {
 		if r := recover(); r != nil {
-			s.panics++
 			s.dead = true
 			p.ob.panics.Inc()
 			at := "batch boundary"
@@ -287,8 +273,6 @@ func (p *Pipeline) runBatch(s *shard, batch []item) (nEvents int) {
 					at = fmt.Sprintf("register obj %d", batch[i].ev.Act.Obj)
 				case itemCompact:
 					at = "compact"
-				case itemCtl:
-					at = "barrier ctl"
 				}
 			}
 			log.Printf("pipeline: recovered shard panic at %s: %v\n%s", at, r, debug.Stack())
@@ -317,18 +301,6 @@ func (p *Pipeline) runBatch(s *shard, batch []item) (nEvents int) {
 				continue
 			}
 			s.det.Compact(it.threshold)
-		case itemCtl:
-			// The done send rides a defer so a panicking fn still signals
-			// (as skipped) before the outer recover retires the shard —
-			// Barrier must never deadlock on a dying shard.
-			func() {
-				ran := false
-				defer func() { it.ctl.done <- ran }()
-				if s.err == nil && !s.dead {
-					it.ctl.fn(s.det)
-					ran = true
-				}
-			}()
 		}
 	}
 	return nEvents
@@ -431,45 +403,6 @@ func (p *Pipeline) Flush() {
 	}
 }
 
-// Barrier quiesces every shard at the current stream position and runs fn on
-// each shard's goroutine against its private detector — after everything
-// produced so far, before anything produced later. It flushes pending partial
-// batches, broadcasts a control item, and blocks until all shards have
-// executed (or skipped) it; like the rest of the producer surface it must be
-// called from the producing goroutine. rd2d's durable checkpointing uses it
-// to export the sharded detectors at an exact event boundary, and to import
-// restored shard states before the first event. fn sees each detector
-// exclusively and must not retain it. A shard retired by a panic or stopped
-// by a processing error skips fn and Barrier reports it: state gathered from
-// the surviving shards would be incomplete, so the caller must abandon the
-// checkpoint (the session is degraded anyway).
-func (p *Pipeline) Barrier(fn func(i int, det *core.Detector)) error {
-	if p.closed {
-		return fmt.Errorf("pipeline: Barrier after Close")
-	}
-	p.Flush()
-	ctls := make([]*ctlItem, len(p.shards))
-	for i := range p.shards {
-		i := i
-		c := &ctlItem{
-			fn:   func(det *core.Detector) { fn(i, det) },
-			done: make(chan bool, 1),
-		}
-		ctls[i] = c
-		p.send(i, []item{{kind: itemCtl, ctl: c}})
-	}
-	var skipped []int
-	for i, c := range ctls {
-		if !<-c.done {
-			skipped = append(skipped, i)
-		}
-	}
-	if len(skipped) > 0 {
-		return fmt.Errorf("pipeline: barrier skipped on degraded shards %v", skipped)
-	}
-	return nil
-}
-
 // Close flushes pending batches, waits for every shard to drain, and merges
 // results. It is idempotent; the first call returns the first error (by
 // event sequence) any shard hit.
@@ -500,7 +433,6 @@ func (p *Pipeline) Close() error {
 	p.races = make([]core.Race, 0, total)
 	errSeq := 0
 	for _, s := range p.shards {
-		p.panics += s.panics
 		p.mergeShard(s)
 		if s.err != nil && (p.err == nil || s.errSeq < errSeq) {
 			p.err = fmt.Errorf("pipeline: event %d: %w", s.errSeq, s.err)
@@ -523,8 +455,6 @@ func (p *Pipeline) Close() error {
 func (p *Pipeline) mergeShard(s *shard) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.panics++
-			p.panics++
 			p.ob.panics.Inc()
 			log.Printf("pipeline: recovered shard panic during merge: %v\n%s", r, debug.Stack())
 		}
@@ -540,14 +470,6 @@ func (p *Pipeline) mergeShard(s *shard) {
 	p.stats.Reclaimed += st.Reclaimed
 	p.distinct += s.det.DistinctObjects()
 }
-
-// Degraded reports whether any shard lost work to a recovered panic: the
-// merged race set is then partial but honest — every race listed was
-// found, none are invented, some may be missing. Valid after Close.
-func (p *Pipeline) Degraded() bool { return p.panics > 0 }
-
-// ShardPanics returns the number of recovered shard panics (after Close).
-func (p *Pipeline) ShardPanics() int { return p.panics }
 
 // Races returns the merged race reports in canonical order (closing the
 // pipeline if still open), capped like the serial detector's retention.

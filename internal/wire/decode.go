@@ -540,6 +540,12 @@ func (d *Decoder) ReadHello() (string, error) {
 
 func (d *Decoder) remaining() int { return len(d.frame) - d.pos }
 
+// Buffered reports whether the current frame still holds undecoded bytes,
+// i.e. whether the next Next can decode without reading the stream. A
+// consumer that batches decoded events flushes when it turns false, so a
+// partial batch never waits on the socket.
+func (d *Decoder) Buffered() bool { return d.remaining() > 0 }
+
 func (d *Decoder) readByte() (byte, error) {
 	if d.remaining() < 1 {
 		return 0, fmt.Errorf("%w: event record crosses frame end", ErrTruncated)

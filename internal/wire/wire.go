@@ -34,7 +34,7 @@
 //
 // Version 3 (written by this package) extends the hello payload with an
 // optional trailing tenant id for multi-tenant admission and quotas
-// (cmd/rd2d -fleet): a version 3 hello may carry a tenant id after the
+// (cmd/rd2d): a version 3 hello may carry a tenant id after the
 // session id, and — uniquely in version 3 — an empty session id (sidlen 0)
 // is permitted when a tenant id follows, declaring the tenant of a plain
 // non-resumable stream. A daemon that refuses a new session (admission

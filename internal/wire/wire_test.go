@@ -302,3 +302,38 @@ func TestFlushMakesEventsVisible(t *testing.T) {
 		t.Fatalf("want EOF after flushed prefix, got %v", err)
 	}
 }
+
+// TestDecoderBuffered checks that Buffered turns false exactly once per
+// events frame: after the frame's last event, before the next frame is read.
+func TestDecoderBuffered(t *testing.T) {
+	tr := sampleTrace()
+	var buf bytes.Buffer
+	enc := NewEncoder(&buf)
+	enc.FrameSize = 24
+	for i := range tr.Events {
+		if err := enc.WriteEvent(&tr.Events[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := enc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dec, err := NewDecoder(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drained := 0
+	for {
+		if _, err := dec.Next(); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if !dec.Buffered() {
+			drained++
+		}
+	}
+	if drained < 2 || drained != dec.Frames()-1 { // every events frame, not the end frame
+		t.Fatalf("Buffered went false %d times over %d frames", drained, dec.Frames())
+	}
+}
