@@ -3,11 +3,12 @@ GO ?= go
 .PHONY: all build vet test race differential bench benchcmp benchbase clockcheck obs-smoke wire-smoke chaos-smoke fleet-smoke durable-smoke fuzz ci clean
 
 # The benchmarks the allocation gate watches: the happens-before front-end
-# (snapshot stamping), the sharded pipeline
-# fed by it, the detection back-end layout (inline/open-addressed store vs
-# the map reference), the disabled-path cost of the obs metrics facility,
-# and the RDB2 wire codec against the streaming text parser.
-GATE_BENCH = BenchmarkStampAll|BenchmarkProcessAction|BenchmarkPipelineFrontend|BenchmarkDetectBackend|BenchmarkReportWrite|BenchmarkObsDisabled|BenchmarkWireDecode|BenchmarkWireEncode|BenchmarkTextParse
+# (snapshot stamping), the sharded pipeline fed by it, the detection
+# back-end layout (inline/open-addressed store vs the map reference), the
+# race report layer (one record, and a racy trace through a Detector into a
+# SessionReporter), the disabled-path cost of the obs metrics facility, and
+# the RDB2 wire codec against the streaming text parser.
+GATE_BENCH = BenchmarkStampAll|BenchmarkProcessAction|BenchmarkPipelineFrontend|BenchmarkDetectBackend|BenchmarkReportWrite|BenchmarkDetectorReport|BenchmarkObsDisabled|BenchmarkWireDecode|BenchmarkWireEncode|BenchmarkTextParse
 GATE_PKGS  = ./internal/hb ./internal/pipeline ./internal/core ./internal/obs ./internal/wire
 
 all: build

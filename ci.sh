@@ -149,6 +149,12 @@ if [ "$ONLY" = 0 ]; then
     go test -run '^$' -bench 'BenchmarkReportWrite' -benchmem -benchtime 1000x ./internal/core \
         | go run ./cmd/benchgate -baseline BENCH_baseline.json -allocs-only -allocs-slack 0
 
+    echo "== bench smoke (detector report layer: allocs/op independent of the race count) =="
+    # A racy trace through a Detector into a SessionReporter: per-race
+    # allocations would put tens of thousands of allocs/op over the baseline.
+    go test -run '^$' -bench 'BenchmarkDetectorReport' -benchmem -benchtime 5x ./internal/core \
+        | go run ./cmd/benchgate -baseline BENCH_baseline.json -allocs-only
+
     echo "== bench ratio gate (sharded pipeline vs shards=1, interleaved rounds) =="
     # The two variants alternate binary-run by binary-run so host-speed
     # drift hits both sides equally; benchgate takes the median ns/op per

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -425,5 +426,63 @@ func TestDaemonRejectsGarbage(t *testing.T) {
 	}
 	if got := d.failed.Load(); got != 1 {
 		t.Fatalf("failed sessions = %d, want 1", got)
+	}
+}
+
+// TestFinishedSessionsReleaseState runs sessions back to back through one
+// daemon. Every finished session lingers for the resume TTL to re-deliver
+// its summary, but must not pin its detection state meanwhile: no
+// detector, engine, decoder or batch buffers, and a live heap that does
+// not grow with the number of sessions lingering.
+func TestFinishedSessionsReleaseState(t *testing.T) {
+	tr := trace.Generate(rand.New(rand.NewSource(3)), trace.GenConfig{
+		Threads: 4, Objects: 400, Keys: 10, Vals: 4, OpsMin: 1000, OpsMax: 1000,
+		PSize: 5, PGet: 40, PRemove: 10})
+	d, done := testDaemonCfg(t, nil, func(c *daemonConfig) { c.resumeTTL = time.Minute })
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapInuse
+	}
+	run := func(n int) {
+		for i := 0; i < n; i++ {
+			if sum := streamOnce(t, d, tr, ""); sum.Error != "" || sum.Events != tr.Len() {
+				t.Fatalf("session: %+v", sum)
+			}
+		}
+	}
+	run(2)
+	before := heap()
+	const more = 10
+	run(more)
+	after := heap()
+
+	d.trackMu.Lock()
+	var lingering []*session
+	for _, s := range d.tracked {
+		lingering = append(lingering, s)
+	}
+	d.trackMu.Unlock()
+	if len(lingering) != 2+more {
+		t.Fatalf("%d sessions lingering, want %d", len(lingering), 2+more)
+	}
+	for _, s := range lingering {
+		s.mu.Lock()
+		held := s.state != stateCompleted || s.det != nil || s.en != nil || s.dec != nil ||
+			s.registered != nil || s.free != nil || s.pending != nil || s.cur != nil
+		s.mu.Unlock()
+		if held {
+			t.Fatalf("finished session %s still holds detection state", s.name)
+		}
+	}
+	t.Logf("heap in use: %d KB after 2 sessions, %d KB after %d", before>>10, after>>10, 2+more)
+	if grow := int64(after) - int64(before); grow > 2<<20 {
+		t.Fatalf("heap grew %d KB over %d lingering sessions", grow>>10, more)
+	}
+	d.Shutdown()
+	if err := <-done; err != nil {
+		t.Fatalf("Serve: %v", err)
 	}
 }

@@ -220,6 +220,13 @@ func (s *session) RunQuantum(n int) (used int, more bool) {
 			select {
 			case b, ok := <-s.queue:
 				if !ok {
+					// Record this quantum's detect span before finish
+					// publishes the results: a summary must not reach
+					// its client ahead of its own stage figures.
+					if used > 0 {
+						s.ob.detect.End(start, used)
+					}
+					start = 0 // the deferred End ignores a zero token
 					s.finish()
 					return used, false
 				}

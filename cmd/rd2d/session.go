@@ -382,6 +382,7 @@ func (s *session) finalize() wire.Summary {
 			sum.Seq = s.sr.Seq()
 		}
 		s.summary = sum
+		s.release()
 		s.mu.Unlock()
 
 		obsSessions.Inc()
@@ -432,6 +433,19 @@ func (s *session) finalize() wire.Summary {
 	})
 	<-s.final
 	return s.summary
+}
+
+// release drops the detection state of a finalized session. While it
+// lingers for the resume TTL, a finished session serves only its summary,
+// metric scope and atomics (/sessions, summary re-delivery), so the
+// detector, engine, decoder, batch buffers and any restore image go now
+// rather than stay pinned until it is forgotten. The caller holds mu; the
+// runnable is done and no producer runs, so nothing else touches them.
+func (s *session) release() {
+	s.det, s.en, s.registered = nil, nil, nil
+	s.cur, s.pending, s.free = nil, nil, nil
+	s.dec, s.conn, s.ckpt = nil, nil, nil
+	s.restore, s.dur = nil, nil
 }
 
 // waitSummary blocks until the session is finalized and returns its

@@ -98,6 +98,10 @@ type Race struct {
 	FirstSeq    int
 	FirstClock  vclock.VC
 	FirstPoint  string
+
+	// enc carries the pre-encoded JSON fragments a Detector attaches to the
+	// races it hands to OnRace (report.go); nil everywhere else.
+	enc *raceEnc
 }
 
 // String renders the race report.
@@ -124,7 +128,12 @@ type Stats struct {
 // Config configures a Detector.
 type Config struct {
 	Engine Engine
-	// OnRace, when set, is invoked for every race found.
+	// OnRace, when set, is invoked for every race found. The Race is valid
+	// only for the duration of the call: past the MaxRaces retention cap
+	// its clocks are the detector's live state and scratch, and the report
+	// fragments it carries are rewritten for the next race. Encode it (a
+	// ReportWriter does) or copy what must outlive the call, and do not
+	// write through its clocks.
 	OnRace func(Race)
 	// MaxRaces caps the retained Races slice (counters keep counting).
 	// Zero means DefaultMaxRaces.
@@ -161,6 +170,13 @@ type Detector struct {
 	arena    backendArena
 	scratch  []ptEntry // Compact's table-rebuild buffer
 
+	// Report scratch, reused for every race handed to OnRace: the race's
+	// JSON fragments (enc.secondHead is the current event's head, rendered
+	// at its first race and reset per action) and the expansion of an
+	// epoch point's clock.
+	enc     raceEnc
+	epochVC vclock.VC
+
 	// Last-object memoization: consecutive actions on the same object (the
 	// common case in sharded streams) skip the d.objects map hit. lastSt is
 	// invalidated when the object dies.
@@ -182,7 +198,18 @@ type ptState struct {
 	lastAct    trace.Action
 	lastThread vclock.Tid
 	lastSeq    int
-	desc       string // memoized rep.Describe of this point ("" until first race)
+	memo       *ptMemo // report memo, allocated at the point's first race
+}
+
+// ptMemo is the report state of a point that has raced: its description,
+// rendered and escaped once, and the JSON head of its last toucher as the
+// first side of a race, rendered at most once per touch. Only racy points
+// carry one, so the ptState of the many points that never race stays a
+// pointer wide.
+type ptMemo struct {
+	desc string // rep.Describe of the point
+	lit  string // desc as a JSON literal ("" until the first record)
+	head []byte // appendSideHead of lastAct/lastThread/lastSeq; empty when stale
 }
 
 // ordered reports whether the point's accumulated clock is ⊑ c — the
@@ -270,6 +297,7 @@ func (d *Detector) action(e *trace.Event) error {
 	}
 	d.stats.Actions++
 	d.pend.actions++
+	d.enc.secondHead = d.enc.secondHead[:0]
 
 	pts, err := st.rep.Touch(d.ptBuf[:0], e.Act)
 	if err != nil {
@@ -355,6 +383,11 @@ func (d *Detector) action(e *trace.Event) error {
 			ps.lastAct = e.Act
 			ps.lastThread = e.Thread
 			ps.lastSeq = e.Seq
+			if m := ps.memo; m != nil {
+				// New last toucher: its head is this event's, already
+				// rendered if the event raced, else stale until needed.
+				m.head = append(m.head[:0], d.enc.secondHead...)
+			}
 		} else {
 			ps.lastAct = e.Act
 			ps.lastThread = e.Thread
@@ -427,61 +460,119 @@ func (d *Detector) report(e *trace.Event, st *objState, pt, cand ap.Point, ps *p
 	d.stats.Races++
 	d.pend.races++
 	d.racyObjs[e.Act.Obj] = struct{}{}
-	if len(d.races) >= d.cfg.MaxRaces && d.cfg.OnRace == nil {
+	retain := len(d.races) < d.cfg.MaxRaces
+	if !retain && d.cfg.OnRace == nil {
 		// Beyond the retention cap with nobody listening: count only and
 		// skip the (comparatively expensive) report construction.
 		return
 	}
-	// Report construction dominates the allocation profile of racy traces
-	// (string formatting plus clock snapshots), so both are de-duplicated:
-	// Describe strings are memoized in the point state (racy points race
-	// repeatedly) and clock snapshots are carved from the never-recycled
-	// report slab. Contents are identical to Describe/Clone output.
-	if ps.desc == "" {
-		ps.desc = st.rep.Describe(cand)
+	// Report construction dominates racy traces, so its parts are
+	// de-duplicated: descriptions and their JSON live in the racing points'
+	// memos (racy points race repeatedly), and the second point of one race
+	// is routinely the first point of the next.
+	first := ps.reportMemo(st.rep, cand)
+	var second *ptMemo
+	if sps := d.lookup(st, pt); sps != nil {
+		second = sps.reportMemo(st.rep, pt)
 	}
 	r := Race{
 		Obj:          e.Act.Obj,
 		Second:       e.Act,
 		SecondThread: e.Thread,
 		SecondSeq:    e.Seq,
-		SecondClock:  d.arena.reportClock(e.Clock),
-		SecondPoint:  d.describe(st, pt),
 		First:        ps.lastAct,
 		FirstThread:  ps.lastThread,
 		FirstSeq:     ps.lastSeq,
-		FirstClock:   d.reportPtClock(ps),
-		FirstPoint:   ps.desc,
+		FirstPoint:   first.desc,
 	}
-	if len(d.races) < d.cfg.MaxRaces {
+	if second != nil {
+		r.SecondPoint = second.desc
+	} else {
+		r.SecondPoint = st.rep.Describe(pt)
+	}
+	if retain {
+		// Retained races outlive the call: their clocks are carved from
+		// the never-recycled report slab (contents as Clone would give).
+		r.SecondClock = d.arena.reportClock(e.Clock)
+		r.FirstClock = d.reportPtClock(ps)
 		d.races = append(d.races, r)
+	} else {
+		// A race past the cap lives only for the OnRace call, so it
+		// borrows the live clocks instead of growing the slab.
+		r.SecondClock = nonEmpty(e.Clock)
+		r.FirstClock = d.lendPtClock(ps)
 	}
-	if d.cfg.OnRace != nil {
-		d.cfg.OnRace(r)
+	if d.cfg.OnRace == nil {
+		return
 	}
+	enc := &d.enc
+	if len(enc.secondHead) == 0 {
+		enc.secondHead = appendSideHead(enc.secondHead, e.Act, e.Thread, e.Seq)
+	}
+	if len(first.head) == 0 {
+		first.head = appendSideHead(first.head, ps.lastAct, ps.lastThread, ps.lastSeq)
+	}
+	enc.firstHead, enc.firstPoint = first.head, first.literal()
+	enc.secondPoint = ""
+	if second != nil {
+		enc.secondPoint = second.literal()
+	}
+	r.enc = enc
+	d.cfg.OnRace(r)
 }
 
-// describe renders pt for a race report, memoizing in the point's state
-// when pt is already active (the second point of one race is routinely the
-// first point of the next).
-func (d *Detector) describe(st *objState, pt ap.Point) string {
-	if ps := d.lookup(st, pt); ps != nil {
-		if ps.desc == "" {
-			ps.desc = st.rep.Describe(pt)
-		}
-		return ps.desc
+// reportMemo returns the report memo of the point pt whose state ps is,
+// allocating it at the point's first race.
+func (ps *ptState) reportMemo(rep ap.Rep, pt ap.Point) *ptMemo {
+	if ps.memo == nil {
+		ps.memo = &ptMemo{desc: rep.Describe(pt)}
 	}
-	return st.rep.Describe(pt)
+	return ps.memo
 }
 
-// reportPtClock snapshots a point's accumulated clock for a race report,
-// carving from the report slab (promoted clocks by copy, epochs by their
-// sparse ⟨…, C, …⟩ expansion — the same contents ptState.clock returns).
+// literal returns the point's description as a JSON literal, escaping it
+// on first use.
+func (m *ptMemo) literal() string {
+	if m.lit == "" {
+		m.lit = jsonLiteral(m.desc)
+	}
+	return m.lit
+}
+
+// reportPtClock snapshots a point's accumulated clock for a retained race
+// report, carving from the report slab (promoted clocks by copy, epochs by
+// their sparse ⟨…, C, …⟩ expansion — the same contents ptState.clock
+// returns).
 func (d *Detector) reportPtClock(ps *ptState) vclock.VC {
 	if ps.vc != nil {
 		return d.arena.reportClock(ps.vc)
 	}
 	return d.arena.reportEpochVC(ps.epoch)
+}
+
+// lendPtClock is reportPtClock for a race that lives only for the OnRace
+// call: a promoted clock is lent as is, an epoch expands into scratch.
+func (d *Detector) lendPtClock(ps *ptState) vclock.VC {
+	if ps.vc != nil {
+		return nonEmpty(ps.vc)
+	}
+	w := int(ps.epoch.T) + 1
+	if cap(d.epochVC) < w {
+		d.epochVC = make(vclock.VC, w)
+	}
+	c := d.epochVC[:w]
+	clear(c)
+	c[ps.epoch.T] = ps.epoch.C
+	return c
+}
+
+// nonEmpty returns c, or nil when it is empty: a report clock holds at
+// least one entry or is null (as reportClock's copies are).
+func nonEmpty(c vclock.VC) vclock.VC {
+	if len(c) == 0 {
+		return nil
+	}
+	return c
 }
 
 // Compact removes every active point whose accumulated clock is ⊑

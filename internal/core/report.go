@@ -12,6 +12,16 @@ package core
 // reporting costs no reflection and, once the buffer has grown, no
 // allocation (TestAppendRecordMatchesEncodingJSON holds the two encodings
 // together).
+//
+// Most of a record repeats from race to race: the session and spec names,
+// the handful of access-point descriptions a racy object keeps hitting, and
+// each action, which takes part in about as many races as it conflicts
+// with. Those parts are escaped once and copied after that: the writers
+// keep the session and spec literals, and a Detector hands OnRace races
+// that carry pre-encoded fragments (raceEnc) of their sides. A race without
+// fragments — from RefDetector, Races(), or built by hand — is encoded from
+// its fields; the bytes are the same either way
+// (TestFragmentRecordsMatchEncodingJSON).
 
 import (
 	"encoding/json"
@@ -83,11 +93,12 @@ func (r Race) Record(spec string) RaceRecord {
 // encoded into one buffer reused under the lock and handed to the
 // underlying writer in exactly one Write call.
 type ReportWriter struct {
-	mu  sync.Mutex
-	w   io.Writer
-	buf []byte // record encoding buffer (guarded by mu)
-	n   int
-	err error
+	mu   sync.Mutex
+	w    io.Writer
+	buf  []byte   // record encoding buffer (guarded by mu)
+	spec specMemo // spec literal of plain Write calls (guarded by mu)
+	n    int
+	err  error
 }
 
 // NewReportWriter returns a writer emitting one JSON object per line to w.
@@ -100,10 +111,11 @@ func NewReportWriter(w io.Writer) *ReportWriter {
 func (rw *ReportWriter) Write(r Race, spec string) error {
 	rw.mu.Lock()
 	defer rw.mu.Unlock()
-	return rw.emit("", 0, &r, spec)
+	return rw.emit("", 0, &r, rw.spec.literal(spec))
 }
 
-// emit encodes one record and writes it. The caller holds mu.
+// emit encodes one record and writes it; session and spec are JSON
+// literals (see appendRecord). The caller holds mu.
 func (rw *ReportWriter) emit(session string, seq uint64, r *Race, spec string) error {
 	if rw.err != nil {
 		return rw.err
@@ -145,16 +157,17 @@ func (rw *ReportWriter) WriteNote(v any) error {
 // on a new connection keeps its reporter and the numbering continues
 // without gaps.
 func (rw *ReportWriter) Session(session string) *SessionReporter {
-	return &SessionReporter{rw: rw, session: session}
+	return &SessionReporter{rw: rw, session: jsonLiteral(session)}
 }
 
 // SessionReporter stamps one session's identity onto shared JSONL output.
 // Safe for concurrent use (it serializes on the underlying writer's lock).
 type SessionReporter struct {
 	rw       *ReportWriter
-	session  string
-	seq      uint64 // guarded by rw.mu
-	suppress uint64 // records with Seq <= suppress skip the file (guarded by rw.mu)
+	session  string   // the session id as a JSON literal
+	spec     specMemo // guarded by rw.mu
+	seq      uint64   // guarded by rw.mu
+	suppress uint64   // records with Seq <= suppress skip the file (guarded by rw.mu)
 }
 
 // Write emits one race stamped with the session id and the next seq.
@@ -172,7 +185,7 @@ func (sr *SessionReporter) Write(r Race, spec string) error {
 		sr.seq++
 		return nil
 	}
-	if err := sr.rw.emit(sr.session, sr.seq+1, &r, spec); err != nil {
+	if err := sr.rw.emit(sr.session, sr.seq+1, &r, sr.spec.literal(spec)); err != nil {
 		return err
 	}
 	sr.seq++
@@ -211,37 +224,80 @@ func (rw *ReportWriter) Err() error {
 	return rw.err
 }
 
+// specMemo keeps the JSON literal of the last spec name written: a
+// session's races nearly always name one spec, so its literal is escaped
+// once rather than once per record.
+type specMemo struct{ name, lit string }
+
+func (m *specMemo) literal(spec string) string {
+	if spec != m.name {
+		m.name, m.lit = spec, jsonLiteral(spec)
+	}
+	return m.lit
+}
+
+// jsonLiteral returns s as a JSON string literal, or "" for "" (the
+// omitempty fields of RaceRecord leave an empty string out).
+func jsonLiteral(s string) string {
+	if s == "" {
+		return ""
+	}
+	return string(appendJSONString(nil, s))
+}
+
+// raceEnc holds pre-encoded JSON fragments of one race's sides: a head
+// `{"action":…,"method":…,"thread":N,"seq":N` and the point as a JSON
+// literal. An empty fragment is encoded from the Race's fields instead.
+// The Detector owns one raceEnc and refills it for every race it hands to
+// OnRace, so fragments are valid only during that call.
+type raceEnc struct {
+	firstHead, secondHead   []byte
+	firstPoint, secondPoint string
+}
+
 // appendRecord appends r's JSONL record — the bytes
 // json.NewEncoder(w).Encode(rec) writes for rec := r.Record(spec) with
 // rec.Session = session and rec.Seq = seq, trailing newline included.
-// Field order, omitempty on session, seq and spec, and null for a nil
+// session and spec come as JSON literals (jsonLiteral), "" to leave them
+// out. Field order, omitempty on session, seq and spec, and null for a nil
 // clock all follow the RaceRecord tags.
 func appendRecord(buf []byte, session string, seq uint64, r *Race, spec string) []byte {
 	buf = append(buf, '{')
 	if session != "" {
-		buf = append(appendJSONString(append(buf, `"session":`...), session), ',')
+		buf = append(append(append(buf, `"session":`...), session...), ',')
 	}
 	if seq != 0 {
 		buf = append(strconv.AppendUint(append(buf, `"seq":`...), seq, 10), ',')
 	}
 	buf = strconv.AppendInt(append(buf, `"object":`...), int64(r.Obj), 10)
 	if spec != "" {
-		buf = appendJSONString(append(buf, `,"spec":`...), spec)
+		buf = append(append(buf, `,"spec":`...), spec...)
 	}
-	buf = appendSide(append(buf, `,"first":`...),
+	var f raceEnc
+	if r.enc != nil {
+		f = *r.enc
+	}
+	buf = appendSide(append(buf, `,"first":`...), f.firstHead, f.firstPoint,
 		r.First, r.FirstThread, r.FirstSeq, r.FirstPoint, r.FirstClock)
-	buf = appendSide(append(buf, `,"second":`...),
+	buf = appendSide(append(buf, `,"second":`...), f.secondHead, f.secondPoint,
 		r.Second, r.SecondThread, r.SecondSeq, r.SecondPoint, r.SecondClock)
 	return append(buf, "}\n"...)
 }
 
-// appendSide appends one RaceSide object.
-func appendSide(buf []byte, a trace.Action, thread vclock.Tid, seq int, point string, clock vclock.VC) []byte {
-	buf = appendJSONAction(append(buf, `{"action":`...), a)
-	buf = appendJSONString(append(buf, `,"method":`...), a.Method)
-	buf = strconv.AppendInt(append(buf, `,"thread":`...), int64(thread), 10)
-	buf = strconv.AppendInt(append(buf, `,"seq":`...), int64(seq), 10)
-	buf = appendJSONString(append(buf, `,"point":`...), point)
+// appendSide appends one RaceSide object, copying the head and point
+// fragments when given and encoding the fields otherwise.
+func appendSide(buf, head []byte, pointLit string, a trace.Action, thread vclock.Tid, seq int, point string, clock vclock.VC) []byte {
+	if len(head) > 0 {
+		buf = append(buf, head...)
+	} else {
+		buf = appendSideHead(buf, a, thread, seq)
+	}
+	buf = append(buf, `,"point":`...)
+	if pointLit != "" {
+		buf = append(buf, pointLit...)
+	} else {
+		buf = appendJSONString(buf, point)
+	}
 	buf = append(buf, `,"clock":`...)
 	if clock == nil {
 		buf = append(buf, "null"...)
@@ -256,6 +312,15 @@ func appendSide(buf []byte, a trace.Action, thread vclock.Tid, seq int, point st
 		buf = append(buf, ']')
 	}
 	return append(buf, '}')
+}
+
+// appendSideHead appends the opening of a RaceSide object up to its seq:
+// the part that depends only on the action and who performed it.
+func appendSideHead(buf []byte, a trace.Action, thread vclock.Tid, seq int) []byte {
+	buf = appendJSONAction(append(buf, `{"action":`...), a)
+	buf = appendJSONString(append(buf, `,"method":`...), a.Method)
+	buf = strconv.AppendInt(append(buf, `,"thread":`...), int64(thread), 10)
+	return strconv.AppendInt(append(buf, `,"seq":`...), int64(seq), 10)
 }
 
 // appendJSONAction appends a's rendering as a JSON string without a

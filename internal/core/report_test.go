@@ -4,14 +4,20 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/ap"
+	"repro/internal/hb"
 	"repro/internal/trace"
 	"repro/internal/vclock"
+	"repro/internal/wire"
 )
 
 // TestReportWriterJSONL runs the Fig 3 trace with every race streamed
@@ -206,7 +212,7 @@ func TestAppendRecordMatchesEncodingJSON(t *testing.T) {
 		if err := json.NewEncoder(&want).Encode(rec); err != nil {
 			t.Fatal(err)
 		}
-		buf = appendRecord(buf[:len("prefix|")], c.session, c.seq, &c.r, c.spec)
+		buf = appendRecord(buf[:len("prefix|")], jsonLiteral(c.session), c.seq, &c.r, jsonLiteral(c.spec))
 		if got := buf[len("prefix|"):]; !bytes.Equal(got, want.Bytes()) {
 			t.Fatalf("case %d:\n got %s\nwant %s", i, got, want.Bytes())
 		}
@@ -256,4 +262,222 @@ func BenchmarkReportWrite(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// hostileStrings covers every escape class of appendJSONString: quotes and
+// backslashes, HTML characters, control bytes, U+2028/U+2029, non-ASCII and
+// invalid UTF-8.
+var hostileStrings = []string{`q"uo\te`, "<a&b>", "\x00\x01\x1f", "\u2028", "\u2029x",
+	"\xff\xfe", "日本", "é\xc3", "\ttab\n", "plain"}
+
+// hostileTrace is racy dictionary traffic (no locks, few objects) whose
+// string keys are rewritten, injectively, into hostileStrings, so access
+// points and actions carry every escape class into the race records.
+func hostileTrace(seed int64, ops int) *trace.Trace {
+	tr := trace.Generate(rand.New(rand.NewSource(seed)), trace.GenConfig{
+		Threads: 4, Objects: 3, Keys: len(hostileStrings), Vals: 4,
+		OpsMin: ops, OpsMax: ops, PSize: 5, PGet: 35, PRemove: 20})
+	rewrite := func(vs []trace.Value) {
+		for i, v := range vs {
+			if v.Kind() == trace.Str {
+				var k int
+				if _, err := fmt.Sscanf(v.Str(), "k%d", &k); err == nil {
+					vs[i] = trace.StrValue(hostileStrings[k])
+				}
+			}
+		}
+	}
+	for i := range tr.Events {
+		if a := &tr.Events[i].Act; tr.Events[i].Kind == trace.ActionEvent {
+			rewrite(a.Args)
+			rewrite(a.Rets)
+		}
+	}
+	return tr
+}
+
+// TestFragmentRecordsMatchEncodingJSON holds the fragment path to
+// encoding/json: every race a Detector hands to OnRace, written through a
+// SessionReporter, must produce the bytes encoding/json gives for the same
+// race found by RefDetector (which carries no fragments), and the record
+// built from the race's fragments must equal the one built after they are
+// stripped. Traces cover hostile strings, the example corpus, compaction
+// (table rebuilds move the memos) and object churn (reclaim drops them);
+// each runs with every race retained and with a cap of 3, where races
+// borrow the detector's live clocks.
+func TestFragmentRecordsMatchEncodingJSON(t *testing.T) {
+	const session, spec = "s\u2028<&>\"\x01\xff", "dict\"<>\u2029\xfe"
+	type input struct {
+		name    string
+		tr      *trace.Trace
+		reps    map[trace.ObjID]ap.Rep
+		compact int
+	}
+	var inputs []input
+	for seed := int64(0); seed < 8; seed++ {
+		tr := hostileTrace(seed, 60)
+		inputs = append(inputs, input{fmt.Sprintf("hostile/%d", seed), tr, objReps(tr), 0},
+			input{fmt.Sprintf("hostile-compact/%d", seed), tr, objReps(tr), 5})
+	}
+	churn, churnReps := churnTrace(6, 20)
+	inputs = append(inputs, input{"churn", churn, churnReps, 0})
+	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "traces", "*"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no example traces found: %v", err)
+	}
+	for _, path := range paths {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := wire.ParseAny(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, input{"corpus/" + filepath.Base(path), tr, objReps(tr), 0})
+	}
+
+	sessLit, specLit := jsonLiteral(session), jsonLiteral(spec)
+	for _, in := range inputs {
+		for _, maxRaces := range []int{1 << 20, 3} {
+			var want bytes.Buffer
+			enc := json.NewEncoder(&want)
+			seq := uint64(0)
+			ref := NewReference(Config{MaxRaces: maxRaces, OnRace: func(r Race) {
+				seq++
+				rec := r.Record(spec)
+				rec.Session, rec.Seq = session, seq
+				if err := enc.Encode(rec); err != nil {
+					t.Fatal(err)
+				}
+			}})
+			var got bytes.Buffer
+			sr := NewReportWriter(&got).Session(session)
+			var fragged int
+			d := New(Config{MaxRaces: maxRaces, OnRace: func(r Race) {
+				if r.enc != nil {
+					fragged++
+				}
+				plain := r
+				plain.enc = nil
+				a := appendRecord(nil, sessLit, 1, &r, specLit)
+				if b := appendRecord(nil, sessLit, 1, &plain, specLit); !bytes.Equal(a, b) {
+					t.Fatalf("%s: fragments diverge from fields:\nfrag  %s\nplain %s", in.name, a, b)
+				}
+				if err := sr.Write(r, spec); err != nil {
+					t.Fatal(err)
+				}
+			}})
+			for obj, rep := range in.reps {
+				d.Register(obj, rep)
+				ref.Register(obj, rep)
+			}
+			en := hb.New()
+			for i := range in.tr.Events {
+				e := &in.tr.Events[i]
+				if _, err := en.Process(e); err != nil {
+					t.Fatal(err)
+				}
+				if err := d.Process(e); err != nil {
+					t.Fatal(err)
+				}
+				if err := ref.Process(e); err != nil {
+					t.Fatal(err)
+				}
+				if in.compact > 0 && i%in.compact == 0 {
+					meet := en.MeetLive()
+					d.Compact(meet)
+					ref.Compact(meet)
+				}
+			}
+			if fragged != d.Stats().Races {
+				t.Fatalf("%s: %d of %d races carried fragments", in.name, fragged, d.Stats().Races)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("%s (max races %d): report diverges from encoding/json:\ngot:\n%s\nwant:\n%s",
+					in.name, maxRaces, got.String(), want.String())
+			}
+		}
+	}
+}
+
+// objReps registers the dictionary rep for every object tr acts on.
+func objReps(tr *trace.Trace) map[trace.ObjID]ap.Rep {
+	reps := map[trace.ObjID]ap.Rep{}
+	for i := range tr.Events {
+		if tr.Events[i].Kind == trace.ActionEvent {
+			reps[tr.Events[i].Act.Obj] = dictRep
+		}
+	}
+	return reps
+}
+
+// racyTrace generates and stamps the shape of rd2d's racy traffic: four
+// unlocked threads on four hot dictionaries, about 1.6 races per action.
+func racyTrace(tb testing.TB, opsPerThread int) *trace.Trace {
+	tb.Helper()
+	tr := trace.Generate(rand.New(rand.NewSource(1)), trace.GenConfig{
+		Threads: 4, Objects: 4, Keys: 10, Vals: 8,
+		OpsMin: opsPerThread, OpsMax: opsPerThread, PSize: 2, PGet: 40, PRemove: 10})
+	en := hb.New()
+	for i := range tr.Events {
+		if _, err := en.Process(&tr.Events[i]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return tr
+}
+
+// reportRun streams a stamped trace through a Detector whose every race is
+// written by a SessionReporter to io.Discard.
+func reportRun(tb testing.TB, tr *trace.Trace, maxRaces int) *Detector {
+	sr := NewReportWriter(io.Discard).Session("conn-1")
+	d := New(Config{MaxRaces: maxRaces, OnRace: func(r Race) {
+		if err := sr.Write(r, "dict"); err != nil {
+			tb.Fatal(err)
+		}
+	}})
+	for obj, rep := range objReps(tr) {
+		d.Register(obj, rep)
+	}
+	for i := range tr.Events {
+		if err := d.Process(&tr.Events[i]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	d.FlushObs()
+	return d
+}
+
+// TestReportSlabBounded: races past the MaxRaces cap are handed to OnRace
+// without being copied into the never-recycled report slab, so the arena a
+// quota is charged for stays put while the race count grows tenfold.
+func TestReportSlabBounded(t *testing.T) {
+	small := reportRun(t, racyTrace(t, 5000), 100)
+	big := reportRun(t, racyTrace(t, 50000), 100)
+	if small.Stats().Races < 10000 || big.Stats().Races < 9*small.Stats().Races {
+		t.Fatalf("races %d and %d: the traces are not racy enough to test the slab",
+			small.Stats().Races, big.Stats().Races)
+	}
+	const slack = 64 << 10
+	if sb, bb := small.ArenaBytes(), big.ArenaBytes(); bb > sb+slack {
+		t.Fatalf("arena grew from %d B at %d races to %d B at %d races (slack %d B)",
+			sb, small.Stats().Races, bb, big.Stats().Races, slack)
+	}
+}
+
+// BenchmarkDetectorReport measures the report layer end to end: a stamped
+// racy trace (20K events, about 32K races) through a Detector into a
+// SessionReporter writing to io.Discard, with rd2d's default retention cap.
+// ns/race is the headline; allocs/op must not grow with the race count.
+func BenchmarkDetectorReport(b *testing.B) {
+	tr := racyTrace(b, 5000)
+	races := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		races = reportRun(b, tr, 100).Stats().Races
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*races), "ns/race")
 }

@@ -95,7 +95,8 @@ type Config struct {
 	QueueLen int
 	// Core configures each shard's private detector. MaxRaces caps both the
 	// per-shard retention and the merged report. OnRace, when set, is
-	// invoked from shard goroutines and must be safe for concurrent use.
+	// invoked from shard goroutines and must be safe for concurrent use;
+	// as with a lone detector, each Race is valid only during the call.
 	Core core.Config
 	// Obs is the registry the pipeline's counters, gauges, and stage spans
 	// record into (a scoped registry, say); nil means obs.Default. When
@@ -131,9 +132,9 @@ type item struct {
 // promoted clocks — see core/arena.go) is detector-private and unlocked,
 // which is sound here because the detector is goroutine-confined: only the
 // shard worker calls Process/Compact, and the merge path reads Races and
-// Stats strictly after the worker's done channel closes. Race records
-// themselves carry clocks from the arena's never-recycled report slab, so
-// merged reports stay valid after further shard processing.
+// Stats strictly after the worker's done channel closes. Retained race
+// records (Races) carry clocks from the arena's never-recycled report slab,
+// so merged reports stay valid after further shard processing.
 type shard struct {
 	det    *core.Detector
 	ch     chan []item

@@ -42,6 +42,7 @@ type Decoder struct {
 	frames  int
 	clean   bool // end-of-stream frame seen
 	err     error
+	tuple   []trace.Value // readTuples' argument staging
 
 	// Corruption resync state.
 	resync        bool
@@ -650,31 +651,59 @@ func (d *Decoder) readValue() (trace.Value, error) {
 	}
 }
 
-func (d *Decoder) readTuple() ([]trace.Value, error) {
-	n, err := d.readUvarint()
+// readTuples decodes an action's argument and return tuples into one
+// allocation: the arguments are staged in the decoder's scratch until the
+// return count is known. Each tuple gets a full slice expression, so an
+// append to one can never write into the other; an empty tuple is nil.
+func (d *Decoder) readTuples() (args, rets []trace.Value, err error) {
+	n, err := d.readTupleLen()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if n > MaxTuple {
-		return nil, fmt.Errorf("wire: tuple of %d values exceeds MaxTuple", n)
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	// A value takes at least one payload byte: bound the allocation by what
-	// the frame can actually hold before trusting the declared count.
-	if int(n) > d.remaining() {
-		return nil, fmt.Errorf("%w: tuple crosses frame end", ErrTruncated)
-	}
-	out := make([]trace.Value, 0, n)
-	for i := uint64(0); i < n; i++ {
+	d.tuple = d.tuple[:0]
+	for i := 0; i < n; i++ {
 		v, err := d.readValue()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		out = append(out, v)
+		d.tuple = append(d.tuple, v)
 	}
-	return out, nil
+	m, err := d.readTupleLen()
+	if err != nil || n+m == 0 {
+		return nil, nil, err
+	}
+	vals := make([]trace.Value, n+m)
+	copy(vals, d.tuple)
+	clear(d.tuple) // drop the staged strings
+	for i := n; i < n+m; i++ {
+		if vals[i], err = d.readValue(); err != nil {
+			return nil, nil, err
+		}
+	}
+	if n > 0 {
+		args = vals[:n:n]
+	}
+	if m > 0 {
+		rets = vals[n : n+m : n+m]
+	}
+	return args, rets, nil
+}
+
+// readTupleLen reads a tuple's value count and checks it against MaxTuple
+// and, since a value takes at least one payload byte, against what the
+// frame can still hold, before any allocation trusts it.
+func (d *Decoder) readTupleLen() (int, error) {
+	n, err := d.readUvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > MaxTuple {
+		return 0, fmt.Errorf("wire: tuple of %d values exceeds MaxTuple", n)
+	}
+	if int(n) > d.remaining() {
+		return 0, fmt.Errorf("%w: tuple crosses frame end", ErrTruncated)
+	}
+	return int(n), nil
 }
 
 // Next decodes the next event. It returns io.EOF at the end of the stream;
@@ -762,10 +791,7 @@ func (d *Decoder) decodeEvent() (trace.Event, error) {
 		if e.Act.Method, err = d.readString(); err != nil {
 			return trace.Event{}, err
 		}
-		if e.Act.Args, err = d.readTuple(); err != nil {
-			return trace.Event{}, err
-		}
-		if e.Act.Rets, err = d.readTuple(); err != nil {
+		if e.Act.Args, e.Act.Rets, err = d.readTuples(); err != nil {
 			return trace.Event{}, err
 		}
 	default:

@@ -337,3 +337,45 @@ func TestDecoderBuffered(t *testing.T) {
 		t.Fatalf("Buffered went false %d times over %d frames", drained, dec.Frames())
 	}
 }
+
+// TestDecodeTuplesShareNoCapacity checks the one-allocation tuple decode:
+// an action's Args and Rets come from one backing array, yet appending to
+// either cannot overwrite the other, and an empty tuple decodes as nil.
+func TestDecodeTuplesShareNoCapacity(t *testing.T) {
+	dec, err := NewDecoder(bytes.NewReader(encodeBytes(t, sampleTrace())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	acts := 0
+	for {
+		e, err := dec.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Kind != trace.ActionEvent {
+			continue
+		}
+		acts++
+		a := e.Act
+		if (len(a.Args) == 0) != (a.Args == nil) || (len(a.Rets) == 0) != (a.Rets == nil) {
+			t.Fatalf("%s: empty tuple not nil (args %#v, rets %#v)", a, a.Args, a.Rets)
+		}
+		if cap(a.Args) != len(a.Args) || cap(a.Rets) != len(a.Rets) {
+			t.Fatalf("%s: spare capacity (args %d/%d, rets %d/%d)",
+				a, len(a.Args), cap(a.Args), len(a.Rets), cap(a.Rets))
+		}
+		rets := append([]trace.Value(nil), a.Rets...)
+		_ = append(a.Args, trace.StrValue("clobber"))
+		for i := range rets {
+			if a.Rets[i] != rets[i] {
+				t.Fatalf("%s: appending to Args overwrote Rets[%d]", a, i)
+			}
+		}
+	}
+	if acts == 0 {
+		t.Fatal("sample trace has no actions")
+	}
+}
