@@ -1,5 +1,5 @@
 #!/bin/sh
-# CI entry point: vet, build, full race-instrumented tests, the
+# CI entry point: vet, a gofmt check, build, full race-instrumented tests, the
 # serial-vs-sharded and back-end-layout differential suites, and smoke-size
 # allocation + ratio gates on the happens-before front-end and the
 # detection back-end. Mirrors `make ci` for hosts without make.
@@ -48,8 +48,11 @@
 #   -fleet-only   run only the fleet-scheduling smoke (used by `make fleet-smoke`).
 #   -durable      additionally run the durable-session smoke: the
 #                 crash/restart differential tests under -race (in-process
-#                 crash, torn snapshot, truncated WAL, snapshot-beyond-WAL,
-#                 TTL expiry of on-disk state), then live binaries: rd2
+#                 crash, torn snapshot, CRC-valid snapshots that fail to
+#                 decode or apply, truncated WAL, snapshot-beyond-WAL, TTL
+#                 expiry of on-disk state, the golden snapshot bytes) and
+#                 the engine/detector/wire snapshot codec tests, then live
+#                 binaries: rd2
 #                 -send -resume -restart-window streams a long trace into
 #                 rd2d -statedir while fault injection SIGKILLs the daemon
 #                 mid-snapshot (ckpt-crash, leaving a half-written snapshot)
@@ -100,6 +103,14 @@ fi
 if [ "$ONLY" = 0 ]; then
     echo "== go vet =="
     go vet ./...
+
+    echo "== gofmt =="
+    unformatted=$(gofmt -l .)
+    if [ -n "$unformatted" ]; then
+        echo "gofmt -l lists files that need formatting:" >&2
+        echo "$unformatted" >&2
+        exit 1
+    fi
 
     echo "== go build =="
     go build ./...
@@ -560,6 +571,7 @@ if [ "$DURABLE" = 1 ]; then
     go test -race -timeout 300s \
         -run 'TestDurable|TestScanReport|TestHealthzPhases' ./cmd/rd2d
     go test -race -timeout 120s ./internal/pipeline
+    go test -race -timeout 120s -run 'State|Export' ./internal/hb ./internal/core ./internal/wire
 
     echo "== durable: live SIGKILL-restart-resume differential (torn snapshot, torn WAL) =="
     DURTMP=$(mktemp -d)

@@ -35,7 +35,7 @@
 // The flag repeats; each side must be present in the input (missing = exit
 // 2, the gate never silently passes). When the input holds several samples
 // of a name (interleaved rounds, -count), the median is used, so one noisy
-// sample cannot flip the gate. -baseline '' skips the baseline comparison
+// sample cannot flip the gate. -baseline "" skips the baseline comparison
 // for ratio-only invocations.
 package main
 

@@ -28,11 +28,14 @@ package main
 // engine clocks, same detector state.
 //
 // There is one checkpoint cut point: the frame hook on the producer. When
-// a snapshot is due it captures the decoder state and exports the engine,
-// which has then stamped exactly the events before that frame, and the cut
-// rides in-band with the next event to the runnable, which exports the
-// detector at the same position. The snapshot's three states therefore
-// agree on a single stream position. fsync policy is -fsync
+// a snapshot is due it captures the decoder state and encodes the engine's
+// snapshot section, the engine having stamped exactly the events before
+// that frame, and the cut rides in-band with the next event to the
+// runnable, which encodes the detector at the same position. The
+// snapshot's three states therefore agree on a single stream position.
+// Each state is encoded straight from the live structure by the package
+// that owns it (hb, core) in wire's primitives; this file owns only the
+// metadata section and the file around the sections. fsync policy is -fsync
 // off|ckpt|always: the page cache survives a process SIGKILL, so even
 // "off" is crash-safe against process death; "ckpt"/"always" extend the
 // guarantee to machine crashes.
@@ -46,7 +49,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -56,7 +60,6 @@ import (
 	"repro/internal/hb"
 	"repro/internal/obs"
 	"repro/internal/trace"
-	"repro/internal/vclock"
 	"repro/internal/wire"
 )
 
@@ -97,20 +100,22 @@ var errDurClosed = errors.New("durable: session state destroyed")
 
 // boundary is a checkpoint cut at the start of an accepted events frame:
 // the WAL offset where the frame starts, the cumulative event count of all
-// frames before it, and the decoder and engine states at that point. A
-// snapshot taken at a boundary resumes by replaying the WAL from off —
-// re-decoding the boundary's own frame first.
+// frames before it, the decoder state, and the engine's snapshot section at
+// that point. A snapshot taken at a boundary resumes by replaying the WAL
+// from off — re-decoding the boundary's own frame first. Several
+// boundaries can be in flight at once, so each owns its engine bytes until
+// the runnable hands them back (durSession.release).
 type boundary struct {
 	off int64
 	cum int
 	st  wire.DecoderState
-	en  *hb.EngineState
+	en  []byte
 }
 
-// durSession is one session's persistent state: the open WAL and the
-// checkpoint cadence. The hook side (WAL append, cut decision) runs on the
-// producer; the snapshot side runs on the runnable; mu covers the WAL
-// fields both touch.
+// durSession is one session's persistent state: the open WAL, the
+// checkpoint cadence, and the buffers snapshots are encoded into. The hook
+// side (WAL append, cut decision) runs on the producer; the snapshot side
+// runs on the runnable; mu covers the WAL fields both touch.
 type durSession struct {
 	d     *daemon
 	sid   string
@@ -125,10 +130,31 @@ type durSession struct {
 	buf    []byte // frame re-encode scratch (hook side only)
 
 	// Producer-side only.
-	lastCkpt int  // events at the last cut
-	force    bool // replayed a WAL tail: cut at the next boundary
+	lastCkpt int              // events at the last cut
+	force    bool             // replayed a WAL tail: cut at the next boundary
+	esw      wire.StateWriter // encodes the engine section at each cut
 
-	ckptErr error // runnable-side only: first snapshot failure; disables further snapshots
+	// enFree carries engine-section buffers back from the runnable to the
+	// producer once their boundary's snapshot is written or skipped. It
+	// holds four: at the default cadence one or two boundaries are in
+	// flight, and a cut that finds it empty allocates a buffer instead.
+	enFree chan []byte
+
+	// Runnable-side only.
+	sw      wire.StateWriter // the snapshot file, rebuilt at each checkpoint
+	reg     []trace.ObjID    // sorted registered objects for the metadata
+	ckptErr error            // first snapshot failure; disables further snapshots
+}
+
+// newDurSession returns the persistent state of session sid stored in dir,
+// with no WAL open yet.
+func (d *daemon) newDurSession(sid, dir string) *durSession {
+	every := d.cfg.ckptEvery
+	if every <= 0 {
+		every = DefaultCkptEvery
+	}
+	return &durSession{d: d, sid: sid, dir: dir, every: every, fsync: d.cfg.fsyncMode,
+		enFree: make(chan []byte, 4)}
 }
 
 // sanitizeSID maps a client session id to a filesystem-safe directory
@@ -136,7 +162,7 @@ type durSession struct {
 // ids never start with "enc-" (those are encoded), so the mapping is
 // injective.
 func sanitizeSID(sid string) string {
-	plain := sid != "" && len(sid) <= 64 && sid[0] != '.' && !hasPrefix(sid, "enc-")
+	plain := sid != "" && len(sid) <= 64 && sid[0] != '.' && !strings.HasPrefix(sid, "enc-")
 	for i := 0; plain && i < len(sid); i++ {
 		c := sid[i]
 		ok := c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' ||
@@ -148,8 +174,6 @@ func sanitizeSID(sid string) string {
 	}
 	return "enc-" + hex.EncodeToString([]byte(sid))
 }
-
-func hasPrefix(s, p string) bool { return len(s) >= len(p) && s[:len(p)] == p }
 
 // openDurSession creates the state dir for a brand-new durable session,
 // discarding any stale leftovers under the same id (a fresh session with a
@@ -172,22 +196,9 @@ func (d *daemon) openDurSession(sid, tenant string) (*durSession, error) {
 		wal.Close()
 		return nil, fmt.Errorf("durable: wal header: %w", err)
 	}
-	return &durSession{
-		d:      d,
-		sid:    sid,
-		dir:    dir,
-		every:  d.ckptEvery(),
-		fsync:  d.cfg.fsyncMode,
-		wal:    wal,
-		walOff: int64(len(hdr)),
-	}, nil
-}
-
-func (d *daemon) ckptEvery() int {
-	if d.cfg.ckptEvery > 0 {
-		return d.cfg.ckptEvery
-	}
-	return DefaultCkptEvery
+	ds := d.newDurSession(sid, dir)
+	ds.wal, ds.walOff = wal, int64(len(hdr))
+	return ds, nil
 }
 
 // walHook returns the decoder's OnFrameAccepted callback: append the
@@ -243,8 +254,9 @@ func (ds *durSession) append(kind byte, payload []byte) (int64, error) {
 // the start of every accepted events frame (off is the frame's WAL offset).
 // The engine has then stamped exactly the events before the frame, so
 // decoder and engine agree on the boundary. When the cadence (or a
-// post-replay force) makes a snapshot due, cut exports the engine and
-// holds the boundary for the next stamped event to carry to the runnable.
+// post-replay force) makes a snapshot due, cut encodes the engine's
+// snapshot section and holds the boundary for the next stamped event to
+// carry to the runnable.
 // Duplicate-chunk and empty frames cut zero-event boundaries at the same
 // position; the latest wins so a resume replays the least.
 func (s *session) cut(off int64, dec *wire.Decoder) {
@@ -257,8 +269,24 @@ func (s *session) cut(off int64, dec *wire.Decoder) {
 	if s.stampErr != nil || s.stampPanicked || (!ds.force && cum-ds.lastCkpt < ds.every) {
 		return
 	}
-	s.ckpt = &boundary{off: off, cum: cum, st: dec.State(), en: s.en.ExportState()}
+	ds.esw.Begin(snapSecEngine)
+	s.en.WriteState(&ds.esw)
+	var en []byte
+	select {
+	case en = <-ds.enFree:
+	default:
+	}
+	s.ckpt = &boundary{off: off, cum: cum, st: dec.State(), en: append(en[:0], ds.esw.Payload()...)}
 	ds.lastCkpt, ds.force = cum, false
+}
+
+// release hands b's engine section back for a later cut to reuse.
+func (ds *durSession) release(b *boundary) {
+	select {
+	case ds.enFree <- b.en:
+	default:
+	}
+	b.en = nil
 }
 
 // destroy closes and removes the session's on-disk state — the session
@@ -294,6 +322,7 @@ type snapMeta struct {
 // not shadow the honest WAL.
 func (s *session) maybeCheckpoint(b *boundary) {
 	ds := s.dur
+	defer ds.release(b)
 	if ds.ckptErr != nil || s.panicked || s.procErr != nil || b.cum != s.events {
 		return
 	}
@@ -303,13 +332,12 @@ func (s *session) maybeCheckpoint(b *boundary) {
 	}
 }
 
-// checkpoint writes one snapshot at boundary b: export the detector,
-// serialize it with the boundary's decoder and engine states, and
-// atomically replace snap.ckpt.
+// checkpoint writes one snapshot at boundary b: encode the metadata, the
+// boundary's engine section and the live detector into the session's
+// snapshot buffer, and atomically replace snap.ckpt.
 func (s *session) checkpoint(b *boundary) error {
 	ds := s.dur
 	start := time.Now()
-	det := s.det.ExportState()
 	// Every race from events before b.cum has been written: the runnable
 	// reports synchronously. Flushing the report before the snapshot exists
 	// keeps the file's high-water seq >= every snapshot's ReporterSeq: a
@@ -333,16 +361,13 @@ func (s *session) checkpoint(b *boundary) error {
 	s.mu.Lock()
 	meta.Resumes = s.resumes
 	s.mu.Unlock()
+	ds.reg = ds.reg[:0]
 	for obj := range s.registered {
-		meta.Registered = append(meta.Registered, obj)
+		ds.reg = append(ds.reg, obj)
 	}
-	sort.Slice(meta.Registered, func(i, j int) bool { return meta.Registered[i] < meta.Registered[j] })
-
-	var buf bytes.Buffer
-	if err := writeSnapshot(&buf, &meta, b.en, det); err != nil {
-		return err
-	}
-	data := buf.Bytes()
+	slices.Sort(ds.reg)
+	meta.Registered = ds.reg
+	data := writeSnapshot(&ds.sw, &meta, b.en, s.det)
 
 	if ds.fsync >= fsyncCkpt {
 		// The snapshot references WAL offsets; make the WAL durable first.
@@ -401,16 +426,29 @@ func (s *session) checkpoint(b *boundary) error {
 
 // --- Snapshot serialization ------------------------------------------------
 
-// Snapshot section kinds.
+// Snapshot section kinds, in file order. The engine and detector sections
+// are hb.(*Engine).WriteState and core.(*Detector).WriteState.
 const (
 	snapSecMeta     = 1
 	snapSecEngine   = 2
 	snapSecDetector = 3
 )
 
-func writeSnapshot(w io.Writer, meta *snapMeta, en *hb.EngineState, det *core.DetectorState) error {
-	sw := wire.NewStateWriter(w)
+// writeSnapshot encodes a snapshot file into sw — the metadata, the engine
+// section encoded at the boundary, and the live detector — and returns its
+// bytes, valid until sw's next snapshot.
+func writeSnapshot(sw *wire.StateWriter, meta *snapMeta, engine []byte, det *core.Detector) []byte {
+	sw.Reset()
+	writeMeta(sw, meta)
+	sw.Section(snapSecEngine, engine)
+	sw.Begin(snapSecDetector)
+	det.WriteState(sw)
+	sw.End()
+	return sw.Close()
+}
 
+// writeMeta writes the metadata section; openSnapshot reads it back.
+func writeMeta(sw *wire.StateWriter, meta *snapMeta) {
 	sw.Begin(snapSecMeta)
 	sw.String(meta.SID)
 	sw.String(meta.Tenant)
@@ -439,149 +477,26 @@ func writeSnapshot(w io.Writer, meta *snapMeta, en *hb.EngineState, det *core.De
 	sw.Varint(st.SkippedBytes)
 	sw.Varint(int64(st.SkippedFrames))
 	sw.Varint(int64(st.Resyncs))
-	if err := sw.End(); err != nil {
-		return err
-	}
-
-	sw.Begin(snapSecEngine)
-	sw.Uvarint(uint64(len(en.Threads)))
-	for _, tc := range en.Threads {
-		sw.Bool(tc.Seen)
-		sw.Bool(tc.Dead)
-		putVC(sw, tc.Clock)
-	}
-	sw.Uvarint(uint64(len(en.Locks)))
-	for _, lc := range en.Locks {
-		sw.Varint(int64(lc.Lock))
-		putVC(sw, lc.Clock)
-	}
-	sw.Uvarint(uint64(len(en.Chans)))
-	for _, cc := range en.Chans {
-		sw.Varint(int64(cc.Chan))
-		sw.Uvarint(uint64(len(cc.Queue)))
-		for _, c := range cc.Queue {
-			putVC(sw, c)
-		}
-	}
-	if err := sw.End(); err != nil {
-		return err
-	}
-
-	sw.Begin(snapSecDetector)
-	sw.Uvarint(uint64(len(det.Objects)))
-	for _, oe := range det.Objects {
-		sw.Varint(int64(oe.Obj))
-		sw.Uvarint(uint64(len(oe.Points)))
-		for _, pe := range oe.Points {
-			sw.Varint(int64(pe.Pt.Class))
-			putValue(sw, pe.Pt.Val)
-			sw.Varint(int64(pe.Epoch.T))
-			sw.Uvarint(pe.Epoch.C)
-			putVC(sw, pe.VC)
-			putAction(sw, pe.LastAct)
-			sw.Varint(int64(pe.LastThread))
-			sw.Varint(int64(pe.LastSeq))
-		}
-	}
-	sw.Uvarint(uint64(len(det.RacyObjs)))
-	for _, obj := range det.RacyObjs {
-		sw.Varint(int64(obj))
-	}
-	sw.Varint(int64(det.DeadRacy))
-	sw.Varint(int64(det.Stats.Actions))
-	sw.Varint(int64(det.Stats.Checks))
-	sw.Varint(int64(det.Stats.Races))
-	sw.Varint(int64(det.Stats.RacyEvents))
-	sw.Varint(int64(det.Stats.ActivePoints))
-	sw.Varint(int64(det.Stats.PeakActive))
-	sw.Varint(int64(det.Stats.Reclaimed))
-	if err := sw.End(); err != nil {
-		return err
-	}
-	return sw.Close()
+	sw.End()
 }
 
-func putVC(sw *wire.StateWriter, c vclock.VC) {
-	if c == nil {
-		sw.Bool(false)
-		return
-	}
-	sw.Bool(true)
-	sw.Uvarint(uint64(len(c)))
-	for _, v := range c {
-		sw.Uvarint(v)
-	}
-}
-
-func putValue(sw *wire.StateWriter, v trace.Value) {
-	sw.Uvarint(uint64(v.Kind()))
-	switch v.Kind() {
-	case trace.Int:
-		sw.Varint(v.Int())
-	case trace.Str:
-		sw.String(v.Str())
-	case trace.Bool:
-		sw.Bool(v.Bool())
-	}
-}
-
-func putAction(sw *wire.StateWriter, a trace.Action) {
-	sw.Varint(int64(a.Obj))
-	sw.String(a.Method)
-	sw.Uvarint(uint64(len(a.Args)))
-	for _, v := range a.Args {
-		putValue(sw, v)
-	}
-	sw.Uvarint(uint64(len(a.Rets)))
-	for _, v := range a.Rets {
-		putValue(sw, v)
-	}
-}
-
-// loadSnapshot reads and CRC-validates a snapshot file. Any failure —
-// missing file, torn write, bitrot, truncation — is an error the caller
-// answers with genesis WAL replay; a snapshot is an optimization, never
-// the source of truth.
-func loadSnapshot(path string) (*snapMeta, *hb.EngineState, *core.DetectorState, error) {
-	f, err := os.Open(path)
+// openSnapshot reads a snapshot file and decodes its metadata section,
+// returning the reader positioned at the engine section for readSnapshot.
+// Any failure — missing file, torn write, bitrot, truncation — is an error
+// the caller answers with genesis WAL replay; a snapshot is an
+// optimization, never the source of truth.
+func openSnapshot(path string) (*snapMeta, *wire.StateReader, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	defer f.Close()
-	sr, err := wire.NewStateReader(f)
+	sr, err := wire.NewStateReader(bytes.NewReader(data))
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	var meta *snapMeta
-	var en *hb.EngineState
-	var det *core.DetectorState
-	for {
-		kind, err := sr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		switch kind {
-		case snapSecMeta:
-			meta = readMeta(sr)
-		case snapSecEngine:
-			en = readEngine(sr)
-		case snapSecDetector:
-			det = readDetector(sr)
-		}
-		if err := sr.Err(); err != nil {
-			return nil, nil, nil, err
-		}
+	if err := nextSection(sr, snapSecMeta); err != nil {
+		return nil, nil, err
 	}
-	if meta == nil || en == nil || det == nil {
-		return nil, nil, nil, fmt.Errorf("durable: snapshot %s is missing sections", path)
-	}
-	return meta, en, det, nil
-}
-
-func readMeta(sr *wire.StateReader) *snapMeta {
 	m := &snapMeta{
 		SID:         sr.String(),
 		Tenant:      sr.String(),
@@ -591,16 +506,14 @@ func readMeta(sr *wire.StateReader) *snapMeta {
 		Resumes:     sr.Int(),
 		ReporterSeq: sr.Uvarint(),
 	}
-	n := sr.Uvarint()
-	for i := uint64(0); i < n && sr.Err() == nil; i++ {
+	for n := sr.Count(); n > 0 && sr.Err() == nil; n-- {
 		m.Registered = append(m.Registered, trace.ObjID(sr.Int()))
 	}
 	st := &m.DecState
 	st.Version = byte(sr.Uvarint())
 	st.SID = sr.String()
 	st.Tenant = sr.String()
-	n = sr.Uvarint()
-	for i := uint64(0); i < n && sr.Err() == nil; i++ {
+	for n := sr.Count(); n > 0 && sr.Err() == nil; n-- {
 		st.Intern = append(st.Intern, sr.String())
 	}
 	st.Events = sr.Int()
@@ -611,146 +524,76 @@ func readMeta(sr *wire.StateReader) *snapMeta {
 	st.SkippedBytes = sr.Varint()
 	st.SkippedFrames = sr.Int()
 	st.Resyncs = sr.Int()
-	return m
+	if err := sr.Err(); err != nil {
+		return nil, nil, err
+	}
+	return m, sr, nil
 }
 
-func readEngine(sr *wire.StateReader) *hb.EngineState {
-	en := &hb.EngineState{}
-	n := sr.Uvarint()
-	for i := uint64(0); i < n && sr.Err() == nil; i++ {
-		tc := hb.ThreadClock{Seen: sr.Bool(), Dead: sr.Bool(), Clock: getVC(sr)}
-		en.Threads = append(en.Threads, tc)
+// readSnapshot decodes the rest of an opened snapshot — the engine and
+// detector sections and the end marker — into en and det, which must be
+// fresh. On error both hold part of the state and must be discarded.
+func readSnapshot(sr *wire.StateReader, en *hb.Engine, det *core.Detector, repFor func(trace.ObjID) (ap.Rep, error)) error {
+	if err := nextSection(sr, snapSecEngine); err != nil {
+		return err
 	}
-	n = sr.Uvarint()
-	for i := uint64(0); i < n && sr.Err() == nil; i++ {
-		en.Locks = append(en.Locks, hb.LockClock{Lock: trace.LockID(sr.Int()), Clock: getVC(sr)})
+	if err := en.ReadState(sr); err != nil {
+		return err
 	}
-	n = sr.Uvarint()
-	for i := uint64(0); i < n && sr.Err() == nil; i++ {
-		cc := hb.ChanClocks{Chan: trace.ChanID(sr.Int())}
-		q := sr.Uvarint()
-		for j := uint64(0); j < q && sr.Err() == nil; j++ {
-			cc.Queue = append(cc.Queue, getVC(sr))
-		}
-		en.Chans = append(en.Chans, cc)
+	if err := nextSection(sr, snapSecDetector); err != nil {
+		return err
 	}
-	return en
+	if err := det.ReadState(sr, repFor); err != nil {
+		return err
+	}
+	if kind, err := sr.Next(); err != io.EOF {
+		return fmt.Errorf("durable: snapshot does not end after the detector (section %d, %v)", kind, err)
+	}
+	return nil
 }
 
-func readDetector(sr *wire.StateReader) *core.DetectorState {
-	det := &core.DetectorState{}
-	n := sr.Uvarint()
-	for i := uint64(0); i < n && sr.Err() == nil; i++ {
-		oe := core.ObjectExport{Obj: trace.ObjID(sr.Int())}
-		pn := sr.Uvarint()
-		for j := uint64(0); j < pn && sr.Err() == nil; j++ {
-			pe := core.PointExport{}
-			pe.Pt.Class = sr.Int()
-			pe.Pt.Val = getValue(sr)
-			pe.Epoch.T = vclock.Tid(sr.Int())
-			pe.Epoch.C = sr.Uvarint()
-			pe.VC = getVC(sr)
-			pe.LastAct = getAction(sr)
-			pe.LastThread = vclock.Tid(sr.Int())
-			pe.LastSeq = sr.Int()
-			oe.Points = append(oe.Points, pe)
-		}
-		det.Objects = append(det.Objects, oe)
+// nextSection loads the next section, which must be of kind want.
+func nextSection(sr *wire.StateReader, want byte) error {
+	kind, err := sr.Next()
+	if err == io.EOF {
+		return fmt.Errorf("durable: snapshot ends before section %d", want)
 	}
-	n = sr.Uvarint()
-	for i := uint64(0); i < n && sr.Err() == nil; i++ {
-		det.RacyObjs = append(det.RacyObjs, trace.ObjID(sr.Int()))
+	if err == nil && kind != want {
+		err = fmt.Errorf("durable: snapshot section %d where %d belongs", kind, want)
 	}
-	det.DeadRacy = sr.Int()
-	det.Stats.Actions = sr.Int()
-	det.Stats.Checks = sr.Int()
-	det.Stats.Races = sr.Int()
-	det.Stats.RacyEvents = sr.Int()
-	det.Stats.ActivePoints = sr.Int()
-	det.Stats.PeakActive = sr.Int()
-	det.Stats.Reclaimed = sr.Int()
-	return det
-}
-
-func getVC(sr *wire.StateReader) vclock.VC {
-	if !sr.Bool() {
-		return nil
-	}
-	n := sr.Uvarint()
-	c := make(vclock.VC, 0, n)
-	for i := uint64(0); i < n && sr.Err() == nil; i++ {
-		c = append(c, sr.Uvarint())
-	}
-	return c
-}
-
-func getValue(sr *wire.StateReader) trace.Value {
-	switch trace.Kind(sr.Uvarint()) {
-	case trace.Int:
-		return trace.IntValue(sr.Varint())
-	case trace.Str:
-		return trace.StrValue(sr.String())
-	case trace.Bool:
-		return trace.BoolValue(sr.Bool())
-	}
-	return trace.NilValue
-}
-
-func getAction(sr *wire.StateReader) trace.Action {
-	a := trace.Action{Obj: trace.ObjID(sr.Int()), Method: sr.String()}
-	n := sr.Uvarint()
-	for i := uint64(0); i < n && sr.Err() == nil; i++ {
-		a.Args = append(a.Args, getValue(sr))
-	}
-	n = sr.Uvarint()
-	for i := uint64(0); i < n && sr.Err() == nil; i++ {
-		a.Rets = append(a.Rets, getValue(sr))
-	}
-	return a
+	return err
 }
 
 // --- Restore ---------------------------------------------------------------
 
 // sessionRestore carries a rehydrated session's checkpointed state into
-// newSession. A genesis restore (no usable snapshot) has
-// nil hb/det and zero meta except identity: the WAL replays from byte 0.
+// newSession. snap is the opened snapshot, positioned at its engine
+// section; a genesis restore (no usable snapshot) has a nil snap and a zero
+// meta except identity, and the WAL replays from byte 0.
 type sessionRestore struct {
 	meta       snapMeta
-	hb         *hb.EngineState
-	det        *core.DetectorState
+	snap       *wire.StateReader
 	durableSeq uint64 // report file's high-water JSONL seq for this session
 	dur        *durSession
 }
 
-// applyRestore imports the checkpointed state into the session's fresh
-// engine and detector. newSession runs it before the session is registered
-// on the worker pool, so no event has been stamped or detected yet. A
-// restore failure poisons the session (procErr, and stampErr so the
-// producer stops stamping) rather than silently analyzing from the wrong
-// state.
-func (s *session) applyRestore() {
-	r := s.restore
-	if r == nil || r.hb == nil {
+// applyRestore decodes the snapshot's engine and detector sections into the
+// session's fresh engine and detector. newSession runs it before the
+// session is registered on the worker pool, so no event has been stamped
+// or detected yet. A snapshot that fails to load has one outcome, whatever
+// failed — framing, decoding or applying: it is dropped whole, the session
+// gets a fresh engine and detector, and the WAL replays from genesis, as
+// for a torn snapshot.
+func (s *session) applyRestore(r *sessionRestore, ccfg core.Config) {
+	if r.snap == nil {
 		return
 	}
-	fail := func(err error) {
-		s.procErr = fmt.Errorf("restore: %w", err)
-		s.stampErr = s.procErr
-		s.degraded = true
-	}
-	if err := s.en.ImportState(r.hb); err != nil {
-		fail(err)
-		return
-	}
-	repFor := func(obj trace.ObjID) (ap.Rep, error) {
-		rep, _ := s.d.repFor(obj)
-		if s.wrapRep != nil {
-			rep = s.wrapRep(rep)
-		}
-		return rep, nil
-	}
-	if err := s.det.ImportState(r.det, repFor); err != nil {
-		fail(err)
+	repFor := func(obj trace.ObjID) (ap.Rep, error) { return s.rep(obj), nil }
+	if err := readSnapshot(r.snap, s.en, s.det, repFor); err != nil {
+		obsCkptTorn.Inc()
+		s.logf("snapshot invalid (%v), genesis WAL replay", err)
+		s.en, s.det = hb.NewObs(s.scope), core.New(ccfg)
+		r.meta, r.snap = snapMeta{SID: r.meta.SID, Tenant: r.meta.Tenant}, nil
 		return
 	}
 	for _, obj := range r.meta.Registered {
@@ -812,7 +655,7 @@ func (d *daemon) rehydrateOne(dir string) {
 	}
 
 	restore := &sessionRestore{}
-	meta, en, det, serr := loadSnapshot(filepath.Join(dir, "snap.ckpt"))
+	meta, snap, serr := openSnapshot(filepath.Join(dir, "snap.ckpt"))
 	if serr == nil && meta.Spec != d.cfg.defaultSpec {
 		d.cfg.logger.Printf("statedir: %s was checkpointed under spec %q, daemon runs %q: discarding state",
 			dir, meta.Spec, d.cfg.defaultSpec)
@@ -827,8 +670,7 @@ func (d *daemon) rehydrateOne(dir string) {
 	}
 	if serr == nil {
 		restore.meta = *meta
-		restore.hb = en
-		restore.det = det
+		restore.snap = snap
 	} else if !os.IsNotExist(serr) {
 		// A snapshot exists but does not validate: torn by a machine crash
 		// (tmp+rename means a process crash cannot do this). The WAL is the
@@ -871,14 +713,15 @@ func (d *daemon) rehydrateOne(dir string) {
 		return
 	}
 
-	// lastCkpt is primed before replay: replay cuts boundaries and the
-	// runnable may legitimately checkpoint mid-replay once the cadence from
-	// the snapshot's position says so.
-	ds := &durSession{d: d, sid: sid, dir: dir, every: d.ckptEvery(), fsync: d.cfg.fsyncMode,
-		lastCkpt: restore.meta.Events}
+	ds := d.newDurSession(sid, dir)
 	restore.dur = ds
 	s := d.newSession(sid, tenant, restore)
 	s.admit = release
+	// lastCkpt is primed before replay, from the snapshot newSession loaded
+	// (0 if it fell back to genesis): replay cuts boundaries and the
+	// runnable may legitimately checkpoint mid-replay once the cadence from
+	// the snapshot's position says so.
+	ds.lastCkpt = restore.meta.Events
 	d.mu.Lock()
 	d.sessions[sid] = s
 	d.mu.Unlock()
@@ -928,7 +771,7 @@ func (d *daemon) replayWAL(s *session, ds *durSession, walPath string, restore *
 
 	var dec *wire.Decoder
 	var startOff int64
-	if restore.hb != nil {
+	if restore.snap != nil {
 		startOff = restore.meta.WalOff
 		if _, err := f.Seek(startOff, io.SeekStart); err != nil {
 			return nil, false, err

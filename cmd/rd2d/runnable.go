@@ -281,11 +281,7 @@ func (s *session) detect(it *item) {
 	}
 	e := &it.e
 	if e.Kind == trace.ActionEvent && !s.registered[e.Act.Obj] {
-		rep, _ := s.d.repFor(e.Act.Obj)
-		if s.wrapRep != nil {
-			rep = s.wrapRep(rep)
-		}
-		s.det.Register(e.Act.Obj, rep)
+		s.det.Register(e.Act.Obj, s.rep(e.Act.Obj))
 		s.registered[e.Act.Obj] = true
 	}
 	if err := s.det.Process(e); err != nil {

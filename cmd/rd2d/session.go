@@ -103,10 +103,8 @@ type session struct {
 	admit func()
 
 	// Durable-session state (nil without -statedir or for plain streams):
-	// the WAL + snapshot machinery and, on a rehydrated session, the
-	// checkpointed state newSession imports before any event.
-	dur     *durSession
-	restore *sessionRestore
+	// the WAL + snapshot machinery.
+	dur *durSession
 
 	scope *obs.Registry // per-session metric scope (rolls up to the root)
 	ob    *sessObs
@@ -197,7 +195,6 @@ func (d *daemon) newSession(sid, tenant string, restore *sessionRestore) *sessio
 		sid:        sid,
 		name:       name,
 		tenant:     tenant,
-		restore:    restore,
 		scope:      scope,
 		ob:         newSessObs(scope),
 		queue:      make(chan []item, batches),
@@ -222,12 +219,6 @@ func (d *daemon) newSession(sid, tenant string, restore *sessionRestore) *sessio
 	ccfg := core.Config{Engine: d.cfg.engine, MaxRaces: d.cfg.maxRaces, Obs: scope}
 	if d.cfg.reporter != nil {
 		s.sr = d.cfg.reporter.Session(name)
-		if restore != nil {
-			// Replayed events regenerate already-durable JSONL records;
-			// the suppression window swallows them, keeping numbering
-			// contiguous across the restart.
-			s.sr.Restore(restore.meta.ReporterSeq, restore.durableSeq)
-		}
 		ccfg.OnRace = func(r core.Race) {
 			_, spec := d.repFor(r.Obj)
 			start := s.ob.report.Start()
@@ -239,11 +230,29 @@ func (d *daemon) newSession(sid, tenant string, restore *sessionRestore) *sessio
 		s.wrapRep = faultinject.WrapAllReps(d.cfg.injectRepPanic)
 	}
 	s.det = core.New(ccfg)
-	s.applyRestore()
+	if restore != nil {
+		s.applyRestore(restore, ccfg)
+		if s.sr != nil {
+			// Replayed events regenerate already-durable JSONL records;
+			// the suppression window swallows them, keeping numbering
+			// contiguous across the restart.
+			s.sr.Restore(restore.meta.ReporterSeq, restore.durableSeq)
+		}
+	}
 	s.entry = d.sched.Register(tenant, s)
 	s.releaseGauge = obsActiveSessions.Enter()
 	d.track(s)
 	return s
+}
+
+// rep resolves obj's representation: the daemon's spec binding, wrapped
+// by the injected fault when there is one.
+func (s *session) rep(obj trace.ObjID) ap.Rep {
+	rep, _ := s.d.repFor(obj)
+	if s.wrapRep != nil {
+		rep = s.wrapRep(rep)
+	}
+	return rep
 }
 
 // logf logs one line for this session through the daemon logger.
@@ -438,14 +447,14 @@ func (s *session) finalize() wire.Summary {
 // release drops the detection state of a finalized session. While it
 // lingers for the resume TTL, a finished session serves only its summary,
 // metric scope and atomics (/sessions, summary re-delivery), so the
-// detector, engine, decoder, batch buffers and any restore image go now
-// rather than stay pinned until it is forgotten. The caller holds mu; the
-// runnable is done and no producer runs, so nothing else touches them.
+// detector, engine, decoder and batch buffers go now rather than stay
+// pinned until it is forgotten. The caller holds mu; the runnable is done
+// and no producer runs, so nothing else touches them.
 func (s *session) release() {
 	s.det, s.en, s.registered = nil, nil, nil
 	s.cur, s.pending, s.free = nil, nil, nil
 	s.dec, s.conn, s.ckpt = nil, nil, nil
-	s.restore, s.dur = nil, nil
+	s.dur = nil
 }
 
 // waitSummary blocks until the session is finalized and returns its

@@ -170,6 +170,10 @@ type Detector struct {
 	arena    backendArena
 	scratch  []ptEntry // Compact's table-rebuild buffer
 
+	// WriteState's sort buffers, kept so a checkpoint allocates nothing.
+	objIDs []trace.ObjID
+	ptRefs []ptRef
+
 	// Report scratch, reused for every race handed to OnRace: the race's
 	// JSON fragments (enc.secondHead is the current event's head, rendered
 	// at its first race and reset per action) and the expansion of an

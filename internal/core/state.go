@@ -1,152 +1,164 @@
 package core
 
-// Durable-session state transfer for the detection back-end (DESIGN.md
-// §15). A Detector's resumable state is the per-object active-point shadow
-// store: for every live object, every active point with its accumulated
+// Durable-session state for the detection back-end (DESIGN.md §15). A
+// Detector's resumable state is Algorithm 1's (§5.3) per-object active
+// points: for every live object, every active point with its accumulated
 // clock (epoch or full form) and last-action metadata, plus the racy-object
-// accounting and the lifetime counters. ExportState deep-copies that into a
-// self-contained DetectorState; ImportState rebuilds it in a fresh detector
-// through the ordinary arena/store insertion paths, so the restored
-// detector's probe behavior, growth thresholds, and obs gauges are the ones
-// a live detector would have.
+// accounting and the lifetime counters. WriteState encodes it straight from
+// the live store into a snapshot section; ReadState decodes a section into a
+// fresh detector through the ordinary arena/store insertion paths, so the
+// restored detector's probe behavior, growth thresholds, and obs gauges are
+// the ones a live detector would have.
 //
-// Not exported: the retained Races slice (verdicts already streamed through
+// Not written: the retained Races slice (verdicts already streamed through
 // OnRace before the checkpoint; the slice only feeds offline Races() output)
-// and memoized Describe strings (re-derived deterministically on the next
-// race). Points are exported in sorted order, so snapshot bytes are
-// deterministic for a given detector state; with an enumerating engine the
-// rebuilt table's scan order may therefore differ from the pre-export
-// table's insertion history, which can reorder same-action verdicts —
-// bounded representations (every translated ECL spec) are unaffected.
+// and the report memos (re-derived deterministically on the next race).
+// Objects and racy ids are written ascending and each object's points
+// sorted by (Class, Val), so snapshot bytes are deterministic for a given
+// detector state; with an enumerating engine the rebuilt table's scan order
+// may therefore differ from the live table's insertion history, which can
+// reorder same-action verdicts — bounded representations (every translated
+// ECL spec) are unaffected.
+//
+// Section layout: the object count, then per object its id, point count
+// and points (class, value, epoch tid and clock, full clock, last action,
+// last thread, last seq); the racy-object ids; the reclaimed racy count;
+// and the Stats counters in field order.
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/ap"
 	"repro/internal/trace"
 	"repro/internal/vclock"
+	"repro/internal/wire"
 )
 
-// PointExport is one active point's shadow state. VC nil means the point is
-// in epoch form.
-type PointExport struct {
-	Pt         ap.Point
-	Epoch      vclock.Epoch
-	VC         vclock.VC
-	LastAct    trace.Action
-	LastThread vclock.Tid
-	LastSeq    int
+// ptRef is WriteState's sort element: one active point and its state.
+type ptRef struct {
+	pt ap.Point
+	ps *ptState
 }
 
-// ObjectExport is one live object's active-point set.
-type ObjectExport struct {
-	Obj    trace.ObjID
-	Points []PointExport
-}
-
-// DetectorState is a self-contained export of a Detector, ordered
-// deterministically (objects and racy ids ascending, points sorted).
-type DetectorState struct {
-	Objects  []ObjectExport
-	RacyObjs []trace.ObjID
-	DeadRacy int
-	Stats    Stats
-}
-
-// ExportState deep-copies the detector's resumable state. The detector
-// remains usable; the export shares no mutable memory with it (Action
-// value slices are shared but never written by the detector).
-func (d *Detector) ExportState() *DetectorState {
-	st := &DetectorState{DeadRacy: d.deadRacy, Stats: d.stats}
-	for obj, os := range d.objects {
-		oe := ObjectExport{Obj: obj}
-		export := func(pt ap.Point, ps *ptState) {
-			pe := PointExport{
-				Pt:         pt,
-				Epoch:      ps.epoch,
-				LastAct:    ps.lastAct,
-				LastThread: ps.lastThread,
-				LastSeq:    ps.lastSeq,
-			}
-			if ps.vc != nil {
-				pe.VC = append(vclock.VC(nil), ps.vc...)
-			}
-			oe.Points = append(oe.Points, pe)
-		}
+// WriteState encodes the detector's resumable state into sw's open
+// section. It only reads the detector, which stays usable.
+func (d *Detector) WriteState(sw *wire.StateWriter) {
+	d.objIDs = sortedObjs(d.objIDs, d.objects)
+	sw.Uvarint(uint64(len(d.objIDs)))
+	for _, obj := range d.objIDs {
+		os := d.objects[obj]
+		d.ptRefs = d.ptRefs[:0]
 		if t := os.table; t != nil {
 			for i, u := range t.used {
 				if u {
-					export(t.keys[i], &t.states[i])
+					d.ptRefs = append(d.ptRefs, ptRef{t.keys[i], &t.states[i]})
 				}
 			}
 		} else {
 			for i := 0; i < os.n; i++ {
-				export(os.keys[i], &os.states[i])
+				d.ptRefs = append(d.ptRefs, ptRef{os.keys[i], &os.states[i]})
 			}
 		}
-		sort.Slice(oe.Points, func(i, j int) bool {
-			a, b := oe.Points[i].Pt, oe.Points[j].Pt
-			if a.Class != b.Class {
-				return a.Class < b.Class
+		slices.SortFunc(d.ptRefs, func(a, b ptRef) int {
+			if c := cmp.Compare(a.pt.Class, b.pt.Class); c != 0 {
+				return c
 			}
-			return a.Val.Less(b.Val)
+			if a.pt.Val.Less(b.pt.Val) {
+				return -1
+			}
+			if b.pt.Val.Less(a.pt.Val) {
+				return 1
+			}
+			return 0
 		})
-		st.Objects = append(st.Objects, oe)
+		sw.Varint(int64(obj))
+		sw.Uvarint(uint64(len(d.ptRefs)))
+		for _, r := range d.ptRefs {
+			ps := r.ps
+			sw.Varint(int64(r.pt.Class))
+			sw.Value(r.pt.Val)
+			sw.Varint(int64(ps.epoch.T))
+			sw.Uvarint(ps.epoch.C)
+			sw.VC(ps.vc)
+			sw.Action(ps.lastAct)
+			sw.Varint(int64(ps.lastThread))
+			sw.Varint(int64(ps.lastSeq))
+		}
 	}
-	sort.Slice(st.Objects, func(i, j int) bool { return st.Objects[i].Obj < st.Objects[j].Obj })
-	for obj := range d.racyObjs {
-		st.RacyObjs = append(st.RacyObjs, obj)
+	clear(d.ptRefs)
+	d.objIDs = sortedObjs(d.objIDs, d.racyObjs)
+	sw.Uvarint(uint64(len(d.objIDs)))
+	for _, obj := range d.objIDs {
+		sw.Varint(int64(obj))
 	}
-	sort.Slice(st.RacyObjs, func(i, j int) bool { return st.RacyObjs[i] < st.RacyObjs[j] })
-	return st
+	sw.Varint(int64(d.deadRacy))
+	st := &d.stats
+	for _, v := range [...]int{st.Actions, st.Checks, st.Races, st.RacyEvents,
+		st.ActivePoints, st.PeakActive, st.Reclaimed} {
+		sw.Varint(int64(v))
+	}
 }
 
-// ImportState loads an export into the detector, which must be fresh (no
-// objects, no processed events). repFor resolves each imported object's
-// representation — the daemon's spec bindings, exactly as at Register time.
-// Historical counters from the export are folded into the detector's stats;
-// ActivePoints is re-derived from the inserted points.
-func (d *Detector) ImportState(st *DetectorState, repFor func(trace.ObjID) (ap.Rep, error)) error {
-	if len(d.objects) != 0 || d.stats.Actions != 0 {
-		return fmt.Errorf("core: ImportState into a non-fresh detector")
+// sortedObjs returns m's object ids in ascending order, reusing buf.
+func sortedObjs[V any](buf []trace.ObjID, m map[trace.ObjID]V) []trace.ObjID {
+	buf = buf[:0]
+	for obj := range m {
+		buf = append(buf, obj)
 	}
-	for _, oe := range st.Objects {
-		rep, err := repFor(oe.Obj)
-		if err != nil {
-			return fmt.Errorf("core: importing o%d: %w", oe.Obj, err)
+	slices.Sort(buf)
+	return buf
+}
+
+// ReadState decodes a section written by WriteState into the detector,
+// which must be fresh (no objects, no processed events). repFor resolves
+// each object's representation — the daemon's spec bindings, exactly as at
+// Register time. The section's historical counters are folded into the
+// detector's stats; ActivePoints is re-derived from the inserted points.
+// On error the detector holds part of the state and must be discarded.
+func (d *Detector) ReadState(sr *wire.StateReader, repFor func(trace.ObjID) (ap.Rep, error)) error {
+	if len(d.objects) != 0 || d.stats.Actions != 0 {
+		return fmt.Errorf("core: ReadState into a non-fresh detector")
+	}
+	for n := sr.Count(); n > 0 && sr.Err() == nil; n-- {
+		obj := trace.ObjID(sr.Int())
+		if _, dup := d.objects[obj]; dup {
+			return fmt.Errorf("core: o%d appears twice in the snapshot", obj)
 		}
-		d.reps[oe.Obj] = rep
+		rep, err := repFor(obj)
+		if err != nil {
+			return fmt.Errorf("core: restoring o%d: %w", obj, err)
+		}
+		d.reps[obj] = rep
 		os := d.arena.newObjState()
 		os.rep = rep
-		d.objects[oe.Obj] = os
+		d.objects[obj] = os
 		d.ob.tblInline.Add(1)
-		for _, pe := range oe.Points {
-			ps, existed := d.lookupOrInsert(os, pe.Pt)
+		for pn := sr.Count(); pn > 0 && sr.Err() == nil; pn-- {
+			pt := ap.Point{Class: sr.Int(), Val: sr.Value()}
+			ps, existed := d.lookupOrInsert(os, pt)
 			if existed {
-				return fmt.Errorf("core: importing o%d: duplicate point in snapshot", oe.Obj)
+				return fmt.Errorf("core: restoring o%d: point %v appears twice in the snapshot", obj, pt)
 			}
-			ps.epoch = pe.Epoch
-			if pe.VC != nil {
-				ps.vc = d.arena.cloneClock(pe.VC, 0)
-			}
-			ps.lastAct = pe.LastAct
-			ps.lastThread = pe.LastThread
-			ps.lastSeq = pe.LastSeq
+			ps.epoch = vclock.Epoch{T: vclock.Tid(sr.Int()), C: sr.Uvarint()}
+			ps.vc = d.arena.cloneClock(sr.VC(), 0)
+			ps.lastAct = sr.Action()
+			ps.lastThread = vclock.Tid(sr.Int())
+			ps.lastSeq = sr.Int()
 			d.addActive(1)
 		}
 	}
-	for _, obj := range st.RacyObjs {
-		d.racyObjs[obj] = struct{}{}
+	for n := sr.Count(); n > 0 && sr.Err() == nil; n-- {
+		d.racyObjs[trace.ObjID(sr.Int())] = struct{}{}
 	}
-	d.deadRacy += st.DeadRacy
-	d.stats.Actions += st.Stats.Actions
-	d.stats.Checks += st.Stats.Checks
-	d.stats.Races += st.Stats.Races
-	d.stats.RacyEvents += st.Stats.RacyEvents
-	d.stats.Reclaimed += st.Stats.Reclaimed
-	if st.Stats.PeakActive > d.stats.PeakActive {
-		d.stats.PeakActive = st.Stats.PeakActive
-	}
-	return nil
+	d.deadRacy += sr.Int()
+	d.stats.Actions += sr.Int()
+	d.stats.Checks += sr.Int()
+	d.stats.Races += sr.Int()
+	d.stats.RacyEvents += sr.Int()
+	sr.Int() // ActivePoints: re-derived above
+	d.stats.PeakActive = max(d.stats.PeakActive, sr.Int())
+	d.stats.Reclaimed += sr.Int()
+	return sr.Err()
 }

@@ -1,18 +1,52 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 
 	"repro/internal/ap"
 	"repro/internal/hb"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
-// runSplit stamps tr and feeds it through a detector that is exported at
-// the split point and imported into a fresh one (split < 0 disables the
-// handoff), compacting every compactEvery events. It returns the imported
+// encodeState returns d's state as a one-section snapshot file.
+func encodeState(d *Detector) []byte {
+	var sw wire.StateWriter
+	sw.Reset()
+	sw.Begin(1)
+	d.WriteState(&sw)
+	sw.End()
+	return sw.Close()
+}
+
+// decodeState reads a file from encodeState into a fresh detector,
+// requiring the section to be consumed exactly.
+func decodeState(t *testing.T, data []byte, cfg Config, repFor func(trace.ObjID) (ap.Rep, error)) *Detector {
+	t.Helper()
+	sr, err := wire.NewStateReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sr.Next(); err != nil {
+		t.Fatal(err)
+	}
+	d := New(cfg)
+	if err := d.ReadState(sr, repFor); err != nil {
+		t.Fatalf("ReadState: %v", err)
+	}
+	if _, err := sr.Next(); err != io.EOF {
+		t.Fatalf("after the detector section: %v, want the end marker", err)
+	}
+	return d
+}
+
+// runSplit stamps tr and feeds it through a detector whose state is
+// written at the split point and read into a fresh one (split < 0 disables
+// the handoff), compacting every compactEvery events. It returns the imported
 // (or sole) detector and the concatenated OnRace stream.
 func runSplit(t *testing.T, tr *trace.Trace, reps map[trace.ObjID]ap.Rep,
 	engine Engine, split, compactEvery int) (*Detector, []string) {
@@ -34,15 +68,11 @@ func runSplit(t *testing.T, tr *trace.Trace, reps map[trace.ObjID]ap.Rep,
 	en := hb.New()
 	for i := range tr.Events {
 		if i == split {
-			st := d.ExportState()
-			d2 := New(cfg)
-			if err := d2.ImportState(st, repFor); err != nil {
-				t.Fatalf("ImportState at %d: %v", split, err)
-			}
+			d2 := decodeState(t, encodeState(d), cfg, repFor)
 			for obj, rep := range reps {
 				d2.Register(obj, rep)
 			}
-			// Keep driving the old detector to prove the export is
+			// Keep driving the old detector to prove the decoded one is
 			// independent of it.
 			d.Compact(en.MeetLive())
 			d = d2
@@ -70,7 +100,7 @@ func stateReps(n int) map[trace.ObjID]ap.Rep {
 	return reps
 }
 
-// A detector rebuilt from an export at any split point must report the
+// A detector rebuilt from its encoded state at any split point must report the
 // remaining races identically to the uninterrupted run and land on the same
 // stats — across compaction, spilled tables, promoted clocks, and object
 // death, for both engines.
@@ -122,20 +152,72 @@ func TestDetectorExportImportDifferential(t *testing.T) {
 	}
 }
 
-// Export must survive a round through itself: exporting the imported
-// detector yields the same state (deterministic ordering).
+// Encoding must survive a round through itself: the detector decoded from
+// a snapshot encodes to the same bytes (deterministic ordering).
 func TestDetectorExportDeterministic(t *testing.T) {
 	tr, reps := churnTrace(6, 20)
 	repFor := func(obj trace.ObjID) (ap.Rep, error) { return reps[obj], nil }
 	d, _ := runSplit(t, tr, reps, EngineAuto, -1, 0)
-	st := d.ExportState()
-	d2 := New(Config{MaxRaces: 1 << 20})
-	if err := d2.ImportState(st, repFor); err != nil {
-		t.Fatalf("ImportState: %v", err)
+	a := encodeState(d)
+	b := encodeState(decodeState(t, a, Config{MaxRaces: 1 << 20}, repFor))
+	if !bytes.Equal(a, b) {
+		t.Fatalf("encoding not stable across a round trip:\n%x\nvs\n%x", a, b)
 	}
-	a, b := fmt.Sprintf("%+v", st), fmt.Sprintf("%+v", d2.ExportState())
-	if a != b {
-		t.Fatalf("export not stable across import:\n%s\nvs\n%s", a, b)
+}
+
+// A snapshot that frames and decodes cleanly but repeats a point or an
+// object describes no detector: ReadState must refuse it.
+func TestDetectorReadStateRejectsDuplicates(t *testing.T) {
+	repFor := func(trace.ObjID) (ap.Rep, error) { return ap.DictRep{}, nil }
+	var sw wire.StateWriter
+	point := func() {
+		sw.Varint(1)                // class
+		sw.Value(trace.IntValue(5)) // value
+		sw.Varint(0)                // epoch tid
+		sw.Uvarint(1)               // epoch clock
+		sw.VC(nil)
+		sw.Action(trace.Action{Obj: 3, Method: "put"})
+		sw.Varint(0) // last thread
+		sw.Varint(1) // last seq
+	}
+	for _, tc := range []struct {
+		name string
+		body func()
+	}{
+		{"point", func() {
+			sw.Uvarint(1) // objects
+			sw.Varint(3)
+			sw.Uvarint(2)
+			point()
+			point()
+		}},
+		{"object", func() {
+			sw.Uvarint(2)
+			for i := 0; i < 2; i++ {
+				sw.Varint(3)
+				sw.Uvarint(1)
+				point()
+			}
+		}},
+	} {
+		sw.Reset()
+		sw.Begin(1)
+		tc.body()
+		sw.Uvarint(0)            // racy objects
+		for i := 0; i < 8; i++ { // dead racy, seven counters
+			sw.Varint(0)
+		}
+		sw.End()
+		sr, err := wire.NewStateReader(bytes.NewReader(sw.Close()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sr.Next(); err != nil {
+			t.Fatal(err)
+		}
+		if err := New(Config{}).ReadState(sr, repFor); err == nil {
+			t.Errorf("%s repeated: ReadState accepted it", tc.name)
+		}
 	}
 }
 
@@ -190,3 +272,28 @@ func TestSessionReporterRestore(t *testing.T) {
 type writerFunc func(p []byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// Once its buffers have grown, encoding a detector allocates nothing: a
+// checkpoint's only copy of the state is its bytes.
+func TestDetectorWriteStateZeroAlloc(t *testing.T) {
+	gcfg := trace.GenConfig{Threads: 4, Objects: 3, Keys: 12, Vals: 3, Locks: 2,
+		OpsMin: 120, OpsMax: 240, PSize: 10, PGet: 30, PLocked: 30, PRemove: 20}
+	tr := trace.Generate(rand.New(rand.NewSource(1)), gcfg)
+	d, _ := runSplit(t, tr, stateReps(gcfg.Objects), EngineAuto, -1, 0)
+	spilled := false
+	for _, os := range d.objects {
+		spilled = spilled || os.table != nil
+	}
+	if !spilled {
+		t.Fatal("no object spilled; the table path is not exercised")
+	}
+	var sw wire.StateWriter
+	encode := func() {
+		sw.Begin(1)
+		d.WriteState(&sw)
+	}
+	encode()
+	if allocs := testing.AllocsPerRun(20, encode); allocs != 0 {
+		t.Fatalf("WriteState allocates %.1f times per call; want 0", allocs)
+	}
+}

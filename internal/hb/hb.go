@@ -62,6 +62,10 @@ type Engine struct {
 	chans   map[trace.ChanID]*chanState
 	guard   snapGuard // clockcheck-only snapshot poisoning (no-op otherwise)
 
+	// WriteState's sort buffers, kept so a checkpoint allocates nothing.
+	lockIDs []trace.LockID
+	chanIDs []trace.ChanID
+
 	// Segment counters; the process-global metrics by default (New), a
 	// session scope's when built via NewObs. Scoped counters roll up, so
 	// the global series stays whole either way.

@@ -1,4 +1,4 @@
-package wire
+package wire_test
 
 import (
 	"bytes"
@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/specs"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // TestDifferentialExamples checks, for every committed example trace, that
@@ -44,10 +45,10 @@ func TestDifferentialExamples(t *testing.T) {
 			// Round trip: canonical text of the parsed trace must survive
 			// the wire format exactly.
 			var buf bytes.Buffer
-			if err := EncodeTrace(&buf, tr); err != nil {
+			if err := wire.EncodeTrace(&buf, tr); err != nil {
 				t.Fatal(err)
 			}
-			got, err := DecodeTrace(bytes.NewReader(buf.Bytes()))
+			got, err := wire.DecodeTrace(bytes.NewReader(buf.Bytes()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,7 +74,7 @@ func TestDifferentialExamples(t *testing.T) {
 
 			// Streaming detection over the wire decoder — no trace.Trace
 			// is ever materialized on this path.
-			d, err := NewDecoder(bytes.NewReader(buf.Bytes()))
+			d, err := wire.NewDecoder(bytes.NewReader(buf.Bytes()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,7 +117,7 @@ func TestCommittedBinaryMatchesText(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer bf.Close()
-	bin, err := ParseAny(bf)
+	bin, err := wire.ParseAny(bf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"repro/internal/trace"
+	"repro/internal/vclock"
 )
 
 // This file is the durable-session side of the wire format (DESIGN.md §15):
@@ -25,13 +28,15 @@ import (
 //     (sync, kind, length, payload, CRC-32C) and the file ends with an
 //     explicit end marker, so truncation anywhere — even at a section
 //     boundary — is detected and the reader fails instead of returning a
-//     silently shortened snapshot.
+//     silently shortened snapshot. Their VC, Value and Action primitives
+//     are the vocabulary hb and core encode their live state in; the
+//     sections themselves belong to the packages whose state they hold.
 
 // StateMagic identifies a snapshot (checkpoint) file written by StateWriter.
 const StateMagic = "RDS1"
 
 // MaxStateSection bounds a single snapshot section payload. Snapshot
-// sections carry whole engine/detector exports, so the bound is far looser
+// sections carry whole engine and detector states, so the bound is far looser
 // than MaxFrame while still rejecting corrupt length fields before they
 // turn into huge allocations.
 const MaxStateSection = 1 << 30
@@ -154,61 +159,59 @@ func ResumeDecoder(r io.Reader, st DecoderState) *Decoder {
 	return d
 }
 
-// StateWriter writes a CRC-framed snapshot file: the RDS1 magic, a sequence
-// of sections (Begin … primitives … End), and an end marker (Close). Errors
-// are sticky; the first failure is returned by the call that hit it and by
-// every later End/Close.
+// StateWriter builds a CRC-framed snapshot file in memory: the RDS1 magic,
+// a sequence of sections (Begin … primitives … End), and an end marker
+// (Close). Its buffers survive Reset, so a writer kept for every snapshot
+// of a session allocates only while they grow. A section whose payload was
+// encoded ahead of the file — by another writer, read back with Payload —
+// is framed whole by Section.
 type StateWriter struct {
-	w       io.Writer
-	buf     []byte
-	tmp     [binary.MaxVarintLen64]byte
-	started bool
-	open    bool
-	kind    byte
-	err     error
+	out  []byte // the file: magic, then every framed section
+	sec  []byte // the open section's payload
+	kind byte
+	tmp  [binary.MaxVarintLen64]byte
 }
 
-// NewStateWriter returns a snapshot writer over w. Nothing is written until
-// the first section begins.
-func NewStateWriter(w io.Writer) *StateWriter {
-	return &StateWriter{w: w}
-}
+// Reset starts a new snapshot file, overwriting the bytes the last Close
+// returned.
+func (sw *StateWriter) Reset() { sw.out = append(sw.out[:0], StateMagic...) }
 
-// Begin opens a section of the given kind (>= 1). Any previously open
-// section must have been ended.
+// Begin opens a section of the given kind (>= 1; kind 0 is the end
+// marker), discarding any section left open.
 func (sw *StateWriter) Begin(kind byte) {
-	if sw.err != nil {
-		return
-	}
-	if sw.open {
-		sw.err = errors.New("wire: StateWriter.Begin with open section")
-		return
-	}
-	if kind == stateEnd {
-		sw.err = errors.New("wire: StateWriter section kind 0 is reserved")
-		return
-	}
-	sw.open = true
 	sw.kind = kind
-	sw.buf = sw.buf[:0]
+	sw.sec = sw.sec[:0]
+}
+
+// Payload returns the open section's bytes so far, valid until the next
+// Begin.
+func (sw *StateWriter) Payload() []byte { return sw.sec }
+
+// End frames the open section onto the file.
+func (sw *StateWriter) End() { sw.out = AppendFrame(sw.out, sw.kind, sw.sec) }
+
+// Section frames payload onto the file as a section of the given kind.
+func (sw *StateWriter) Section(kind byte, payload []byte) {
+	sw.out = AppendFrame(sw.out, kind, payload)
+}
+
+// Close appends the end marker and returns the file, valid until the next
+// Reset.
+func (sw *StateWriter) Close() []byte {
+	sw.out = AppendFrame(sw.out, stateEnd, nil)
+	return sw.out
 }
 
 // Uvarint appends an unsigned varint to the open section.
 func (sw *StateWriter) Uvarint(v uint64) {
-	if sw.err != nil {
-		return
-	}
 	n := binary.PutUvarint(sw.tmp[:], v)
-	sw.buf = append(sw.buf, sw.tmp[:n]...)
+	sw.sec = append(sw.sec, sw.tmp[:n]...)
 }
 
 // Varint appends a zigzag varint to the open section.
 func (sw *StateWriter) Varint(v int64) {
-	if sw.err != nil {
-		return
-	}
 	n := binary.PutVarint(sw.tmp[:], v)
-	sw.buf = append(sw.buf, sw.tmp[:n]...)
+	sw.sec = append(sw.sec, sw.tmp[:n]...)
 }
 
 // Bool appends a boolean byte to the open section.
@@ -223,77 +226,68 @@ func (sw *StateWriter) Bool(b bool) {
 // String appends a length-prefixed string to the open section.
 func (sw *StateWriter) String(s string) {
 	sw.Uvarint(uint64(len(s)))
-	if sw.err != nil {
-		return
-	}
-	sw.buf = append(sw.buf, s...)
+	sw.sec = append(sw.sec, s...)
 }
 
 // Bytes appends a length-prefixed byte string to the open section.
 func (sw *StateWriter) Bytes(b []byte) {
 	sw.Uvarint(uint64(len(b)))
-	if sw.err != nil {
+	sw.sec = append(sw.sec, b...)
+}
+
+// VC appends a vector clock: a presence flag, then the length and entries.
+// A nil or empty clock is written absent (bottom either way).
+func (sw *StateWriter) VC(c vclock.VC) {
+	sw.Bool(len(c) != 0)
+	if len(c) == 0 {
 		return
 	}
-	sw.buf = append(sw.buf, b...)
+	sw.Uvarint(uint64(len(c)))
+	for _, v := range c {
+		sw.Uvarint(v)
+	}
 }
 
-// End frames and writes the open section.
-func (sw *StateWriter) End() error {
-	if sw.err != nil {
-		return sw.err
+// Value appends a trace value: its kind, then the payload the kind has.
+func (sw *StateWriter) Value(v trace.Value) {
+	sw.Uvarint(uint64(v.Kind()))
+	switch v.Kind() {
+	case trace.Int:
+		sw.Varint(v.Int())
+	case trace.Str:
+		sw.String(v.Str())
+	case trace.Bool:
+		sw.Bool(v.Bool())
 	}
-	if !sw.open {
-		sw.err = errors.New("wire: StateWriter.End without open section")
-		return sw.err
-	}
-	sw.open = false
-	return sw.writeFrame(sw.kind, sw.buf)
 }
 
-// Close writes the end marker. The caller owns closing/syncing the
-// underlying file.
-func (sw *StateWriter) Close() error {
-	if sw.err != nil {
-		return sw.err
+// Action appends an action: object, method, then the counted arguments
+// and return values.
+func (sw *StateWriter) Action(a trace.Action) {
+	sw.Varint(int64(a.Obj))
+	sw.String(a.Method)
+	sw.Uvarint(uint64(len(a.Args)))
+	for _, v := range a.Args {
+		sw.Value(v)
 	}
-	if sw.open {
-		sw.err = errors.New("wire: StateWriter.Close with open section")
-		return sw.err
+	sw.Uvarint(uint64(len(a.Rets)))
+	for _, v := range a.Rets {
+		sw.Value(v)
 	}
-	return sw.writeFrame(stateEnd, nil)
-}
-
-// Err returns the sticky error, if any.
-func (sw *StateWriter) Err() error { return sw.err }
-
-func (sw *StateWriter) writeFrame(kind byte, payload []byte) error {
-	if !sw.started {
-		sw.started = true
-		if _, err := io.WriteString(sw.w, StateMagic); err != nil {
-			sw.err = err
-			return err
-		}
-	}
-	frame := AppendFrame(nil, kind, payload)
-	if _, err := sw.w.Write(frame); err != nil {
-		sw.err = err
-		return err
-	}
-	return nil
 }
 
 // StateReader reads a snapshot file written by StateWriter. Next loads one
 // section at a time; the field accessors consume the current section with a
 // sticky error (check Err, or rely on the zero values they return after a
 // failure). Any framing violation — bad magic, CRC mismatch, short read,
-// missing end marker — is an error: a torn snapshot never reads as a valid
-// shorter one.
+// missing end marker, a section with bytes left unread — is an error: a torn
+// snapshot never reads as a valid shorter one. Lengths and counts are
+// bounded by the section's remaining bytes before anything is allocated for
+// them, so a CRC-valid but hostile snapshot fails instead of panicking.
 type StateReader struct {
 	r       *bufio.Reader
 	payload []byte
 	pos     int
-	tmp     [binary.MaxVarintLen64]byte
 	err     error
 }
 
@@ -312,11 +306,13 @@ func NewStateReader(r io.Reader) (*StateReader, error) {
 
 // Next loads the next section and returns its kind. It returns io.EOF at
 // the end marker, ErrStateTruncated if the file ends early, and ErrCRC on
-// checksum mismatch. The previous section must be fully consumed or its
-// remainder is discarded.
+// checksum mismatch. The previous section must have been consumed entirely.
 func (sr *StateReader) Next() (byte, error) {
 	if sr.err != nil {
 		return 0, sr.err
+	}
+	if sr.Remaining() != 0 {
+		return 0, sr.fail(fmt.Errorf("wire: %d unread bytes at snapshot section end", sr.Remaining()))
 	}
 	var hdr [3]byte
 	if _, err := io.ReadFull(sr.r, hdr[:]); err != nil {
@@ -413,33 +409,96 @@ func (sr *StateReader) Int() int {
 	return int(v)
 }
 
-// String consumes a length-prefixed string.
-func (sr *StateReader) String() string {
+// Count consumes the element count of a sequence whose elements take at
+// least one byte each, so a count larger than the rest of the section is
+// an error rather than an allocation.
+func (sr *StateReader) Count() int {
+	n := sr.Uvarint()
+	if sr.err == nil && n > uint64(sr.Remaining()) {
+		sr.fail(fmt.Errorf("%w: count %d crosses section end", ErrStateTruncated, n))
+		return 0
+	}
+	return int(n)
+}
+
+// span consumes a length prefix and the bytes it covers.
+func (sr *StateReader) span(what string) []byte {
 	n := sr.Uvarint()
 	if sr.err != nil {
-		return ""
+		return nil
 	}
-	if int(n) > sr.Remaining() {
-		sr.fail(fmt.Errorf("%w: string crosses section end", ErrStateTruncated))
-		return ""
+	if n > uint64(sr.Remaining()) {
+		sr.fail(fmt.Errorf("%w: %s crosses section end", ErrStateTruncated, what))
+		return nil
 	}
-	s := string(sr.payload[sr.pos : sr.pos+int(n)])
+	b := sr.payload[sr.pos : sr.pos+int(n)]
 	sr.pos += int(n)
-	return s
+	return b
 }
+
+// String consumes a length-prefixed string.
+func (sr *StateReader) String() string { return string(sr.span("string")) }
 
 // Bytes consumes a length-prefixed byte string into a fresh slice.
 func (sr *StateReader) Bytes() []byte {
-	n := sr.Uvarint()
+	b := sr.span("bytes")
 	if sr.err != nil {
 		return nil
 	}
-	if int(n) > sr.Remaining() {
-		sr.fail(fmt.Errorf("%w: bytes cross section end", ErrStateTruncated))
+	return append(make([]byte, 0, len(b)), b...)
+}
+
+// VC consumes a vector clock written by StateWriter.VC; an absent clock
+// reads as nil.
+func (sr *StateReader) VC() vclock.VC {
+	if !sr.Bool() {
 		return nil
 	}
-	b := make([]byte, n)
-	copy(b, sr.payload[sr.pos:sr.pos+int(n)])
-	sr.pos += int(n)
-	return b
+	n := sr.Count()
+	if sr.err != nil {
+		return nil
+	}
+	c := make(vclock.VC, n)
+	for i := range c {
+		c[i] = sr.Uvarint()
+	}
+	return c
+}
+
+// Value consumes a trace value written by StateWriter.Value.
+func (sr *StateReader) Value() trace.Value {
+	switch k := trace.Kind(sr.Uvarint()); k {
+	case trace.Nil:
+		return trace.NilValue
+	case trace.Int:
+		return trace.IntValue(sr.Varint())
+	case trace.Str:
+		return trace.StrValue(sr.String())
+	case trace.Bool:
+		return trace.BoolValue(sr.Bool())
+	default:
+		sr.fail(fmt.Errorf("wire: snapshot value of unknown kind %d", k))
+		return trace.NilValue
+	}
+}
+
+// Action consumes an action written by StateWriter.Action.
+func (sr *StateReader) Action() trace.Action {
+	a := trace.Action{Obj: trace.ObjID(sr.Int()), Method: sr.String()}
+	a.Args = sr.values()
+	a.Rets = sr.values()
+	return a
+}
+
+// values consumes a counted value list; an empty list reads as nil.
+func (sr *StateReader) values() []trace.Value {
+	n := sr.Count()
+	if n == 0 || sr.err != nil {
+		return nil
+	}
+	vs := make([]trace.Value, n)
+	for i := range vs {
+		vs[i] = sr.Value()
+	}
+	return vs
 }

@@ -2,18 +2,34 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/trace"
+	"repro/internal/vclock"
 )
 
-// writeSnapshot builds a two-section snapshot exercising every primitive.
+// writeSnapshot builds a three-section snapshot exercising every primitive,
+// the third section framed whole from another writer's payload.
 func writeSnapshot(t *testing.T) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	sw := NewStateWriter(&buf)
+	var pre StateWriter
+	pre.Begin(9)
+	pre.VC(vclock.VC{3, 0, 7})
+	pre.VC(nil)
+	pre.VC(vclock.VC{})
+	pre.Value(trace.NilValue)
+	pre.Action(trace.Action{Obj: 4, Method: "put",
+		Args: []trace.Value{trace.StrValue("k"), trace.IntValue(-2)},
+		Rets: []trace.Value{trace.BoolValue(true)}})
+	pre.Action(trace.Action{Obj: 5, Method: "size"})
+
+	var sw StateWriter
+	sw.Reset()
 	sw.Begin(1)
 	sw.Uvarint(0)
 	sw.Uvarint(1 << 40)
@@ -21,19 +37,13 @@ func writeSnapshot(t *testing.T) []byte {
 	sw.Bool(true)
 	sw.String("session-α")
 	sw.Bytes([]byte{0xE5, 0x4D, 0x00})
-	if err := sw.End(); err != nil {
-		t.Fatalf("End: %v", err)
-	}
+	sw.End()
 	sw.Begin(7)
 	sw.String("")
 	sw.Varint(9)
-	if err := sw.End(); err != nil {
-		t.Fatalf("End: %v", err)
-	}
-	if err := sw.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	return buf.Bytes()
+	sw.End()
+	sw.Section(9, pre.Payload())
+	return append([]byte(nil), sw.Close()...)
 }
 
 func TestStateRoundTrip(t *testing.T) {
@@ -76,6 +86,31 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 	if v := sr.Int(); v != 9 {
 		t.Fatalf("Int = %d", v)
+	}
+	kind, err = sr.Next()
+	if err != nil || kind != 9 {
+		t.Fatalf("Next = %d, %v; want 9, nil", kind, err)
+	}
+	if c := sr.VC(); !c.Equal(vclock.VC{3, 0, 7}) {
+		t.Fatalf("VC = %v", c)
+	}
+	if c := sr.VC(); c != nil {
+		t.Fatalf("nil VC read back as %v", c)
+	}
+	if c := sr.VC(); c != nil {
+		t.Fatalf("empty VC read back as %v, want absent", c)
+	}
+	if v := sr.Value(); v != trace.NilValue {
+		t.Fatalf("Value = %v", v)
+	}
+	want := trace.Action{Obj: 4, Method: "put",
+		Args: []trace.Value{trace.StrValue("k"), trace.IntValue(-2)},
+		Rets: []trace.Value{trace.BoolValue(true)}}
+	if a := sr.Action(); !reflect.DeepEqual(a, want) {
+		t.Fatalf("Action = %+v, want %+v", a, want)
+	}
+	if a := sr.Action(); !reflect.DeepEqual(a, trace.Action{Obj: 5, Method: "size"}) {
+		t.Fatalf("Action = %+v", a)
 	}
 	if _, err := sr.Next(); err != io.EOF {
 		t.Fatalf("Next at end marker = %v; want io.EOF", err)
@@ -129,6 +164,62 @@ func TestStateCorruptionDetected(t *testing.T) {
 	}
 	if _, err := sr.Next(); err == nil {
 		t.Fatal("corrupt section read without error")
+	}
+}
+
+// craftedSection returns a CRC-valid snapshot whose one section holds
+// payload, as a hostile or corrupt-but-checksummed file would.
+func craftedSection(payload []byte) []byte {
+	data := AppendFrame([]byte(StateMagic), 1, payload)
+	return AppendFrame(data, stateEnd, nil)
+}
+
+// Length and count fields are checked against the section before they
+// size anything: a CRC-valid section claiming 2^63 bytes or elements must
+// fail to decode, not panic or allocate.
+func TestStateHostileLengths(t *testing.T) {
+	huge := binary.AppendUvarint(nil, math.MaxUint64-8)
+	cases := []struct {
+		name    string
+		payload []byte
+		read    func(sr *StateReader)
+	}{
+		{"string", huge, func(sr *StateReader) { _ = sr.String() }},
+		{"bytes", huge, func(sr *StateReader) { sr.Bytes() }},
+		{"count", huge, func(sr *StateReader) { sr.Count() }},
+		{"vc", append([]byte{1}, huge...), func(sr *StateReader) { sr.VC() }},
+		{"args", append([]byte{2, 0}, huge...), func(sr *StateReader) { sr.Action() }},
+		{"count past end", []byte{3, 1}, func(sr *StateReader) { sr.Count() }},
+		{"value kind", []byte{9}, func(sr *StateReader) { sr.Value() }},
+	}
+	for _, tc := range cases {
+		sr, err := NewStateReader(bytes.NewReader(craftedSection(tc.payload)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sr.Next(); err != nil {
+			t.Fatalf("%s: Next: %v", tc.name, err)
+		}
+		tc.read(sr)
+		if sr.Err() == nil {
+			t.Errorf("%s: hostile length decoded without error", tc.name)
+		}
+	}
+}
+
+// A section with bytes its reader never consumed is an error at the next
+// section: the writer never leaves trailing bytes.
+func TestStateUnreadBytesRejected(t *testing.T) {
+	sr, err := NewStateReader(bytes.NewReader(craftedSection([]byte{1, 2})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sr.Next(); err != nil {
+		t.Fatal(err)
+	}
+	sr.Uvarint()
+	if _, err := sr.Next(); err == nil || err == io.EOF {
+		t.Fatalf("Next after a partly read section = %v, want an error", err)
 	}
 }
 
